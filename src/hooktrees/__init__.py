@@ -29,10 +29,8 @@ from .labelings import (
     DEFAULT_FIBER_CAP,
     DEFAULT_LABELING_CAP,
     bst_shape,
-    histogram_lines,
     increasing_labelings_brute,
     increasing_labelings_count,
-    parse_permutation,
     shape_fiber_histogram,
     verify_eq2,
 )
@@ -73,14 +71,12 @@ __all__ = [
     "eval_recurrence",
     "fraction_str",
     "get_identity",
-    "histogram_lines",
     "hook_lengths",
     "increasing_labelings_brute",
     "increasing_labelings_count",
     "iter_trees",
     "iter_verify",
     "odd_binomial_sum",
-    "parse_permutation",
     "random_hook_weight",
     "rank",
     "shape_fiber_histogram",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import identities, labelings, trees
 
@@ -19,125 +18,87 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    """Caps and output options shared by all subcommands."""
-
-    brute_cap: int = identities.DEFAULT_BRUTE_CAP
-    labeling_cap: int = labelings.DEFAULT_LABELING_CAP
-    fiber_cap: int = labelings.DEFAULT_FIBER_CAP
-    output_format: str = "tsv"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for field in ("brute_cap", "labeling_cap", "fiber_cap"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be positive")
-        if self.output_format not in ("tsv", "json"):
-            raise ValueError("output_format must be 'tsv' or 'json'")
-
-
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
 
 
-def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def _emit(args: argparse.Namespace, row: dict, tsv: str) -> None:
+    """Print one record: the row as a JSON object, or its TSV line."""
+    print(json.dumps(row) if args.format == "json" else tsv)
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
     failed = False
     try:
         for record in identities.iter_verify(
-            args.identity, args.n_from, args.n_to, args.mode, brute_cap=config.brute_cap
+            args.identity, args.n_from, args.n_to, args.mode, brute_cap=args.brute_cap
         ):
-            if config.output_format == "json":
-                print(record.json_line())
-            else:
-                print(record.tsv_line())
+            _emit(args, record.row(), record.tsv_line())
             failed = failed or not record.passed
     except ValueError as exc:
         return _usage_error(str(exc))
     return EXIT_FAILED if failed else EXIT_OK
 
 
-def _cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.n > config.brute_cap:
-        return _usage_error(f"n={args.n} exceeds the brute-force cap {config.brute_cap}")
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.n > args.brute_cap:
+        return _usage_error(f"n={args.n} exceeds the brute-force cap {args.brute_cap}")
     if args.n < 0:
         return _usage_error("n must be nonnegative")
     for tree in trees.iter_trees(args.n):
         code = trees.encode(tree)
-        if config.output_format == "json":
-            print(json.dumps({"code": code}))
-        else:
-            print(code)
+        _emit(args, {"code": code}, code)
     return EXIT_OK
 
 
-def _cmd_fibers(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_fibers(args: argparse.Namespace) -> int:
     try:
-        histogram = labelings.shape_fiber_histogram(args.n, cap=config.fiber_cap)
+        histogram = labelings.shape_fiber_histogram(args.n, cap=args.fiber_cap)
     except ValueError as exc:
         return _usage_error(str(exc))
+    for code, count in sorted(histogram.items()):
+        _emit(args, {"code": code, "count": count}, f"{code}\t{count}")
     total = sum(histogram.values())
-    if config.output_format == "json":
-        for code in sorted(histogram):
-            print(json.dumps({"code": code, "count": histogram[code]}))
-        print(json.dumps({"total": total}))
-    else:
-        for line in labelings.histogram_lines(histogram):
-            print(line)
-        print(f"total\t{total}")
+    _emit(args, {"total": total}, f"total\t{total}")
     return EXIT_OK
 
 
-def _cmd_table(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_table(args: argparse.Namespace) -> int:
     if args.n_to < 0:
         return _usage_error("n_to must be nonnegative")
     identity = identities.get_identity(args.identity)
     table = identities.SumTable(identity.weight)
     mismatched = False
-    for n in range(args.n_to + 1):
-        s_value = table.value(n)
-        lhs = identity.prefactor(n) * s_value
-        rhs = identity.rhs(n)
-        match = lhs == rhs
-        mismatched = mismatched or not match
+    for record in identities.iter_verify(identity, 0, args.n_to, "recurrence", table=table):
         row = {
-            "n": n,
-            "sum": identities.fraction_str(s_value),
-            "lhs": identities.fraction_str(lhs),
-            "rhs": identities.fraction_str(rhs),
-            "match": match,
+            "n": record.n,
+            "sum": identities.fraction_str(table.value(record.n)),
+            "lhs": identities.fraction_str(record.lhs),
+            "rhs": identities.fraction_str(record.rhs),
+            "match": record.passed,
         }
-        if config.output_format == "json":
-            print(json.dumps(row))
-        else:
-            flag = "PASS" if match else "FAIL"
-            print(f"{n}\t{row['sum']}\t{row['lhs']}\t{row['rhs']}\t{flag}")
+        _emit(args, row, f"{record.n}\t{row['sum']}\t{row['lhs']}\t{row['rhs']}\t{record.status}")
+        mismatched = mismatched or not record.passed
     return EXIT_FAILED if mismatched else EXIT_OK
 
 
-def _cmd_rank(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_rank(args: argparse.Namespace) -> int:
     try:
         tree = trees.decode(args.code)
     except ValueError as exc:
         return _usage_error(str(exc))
     value = trees.rank(tree)
-    if config.output_format == "json":
-        print(json.dumps({"rank": value}))
-    else:
-        print(value)
+    _emit(args, {"rank": value}, str(value))
     return EXIT_OK
 
 
-def _cmd_unrank(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_unrank(args: argparse.Namespace) -> int:
     try:
         code = trees.encode(trees.unrank(args.n, args.index))
     except ValueError as exc:
         return _usage_error(str(exc))
-    if config.output_format == "json":
-        print(json.dumps({"code": code}))
-    else:
-        print(code)
+    _emit(args, {"code": code}, code)
     return EXIT_OK
 
 
@@ -148,13 +109,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hooktrees",
@@ -162,14 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--brute-cap", type=_positive_int, default=identities.DEFAULT_BRUTE_CAP,
                         help="largest n allowed for full enumeration (default %(default)s)")
-    parser.add_argument("--labeling-cap", type=_positive_int, default=labelings.DEFAULT_LABELING_CAP,
-                        help="largest tree size for brute labeling counts (default %(default)s)")
     parser.add_argument("--fiber-cap", type=_positive_int, default=labelings.DEFAULT_FIBER_CAP,
                         help="largest n for fiber histograms (default %(default)s)")
     parser.add_argument("--format", choices=("tsv", "json"), default="tsv",
                         help="output format (default %(default)s)")
-    parser.add_argument("--seed", type=_nonnegative_int, default=0,
-                        help="seed for randomized self-checks (default %(default)s)")
 
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -207,17 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = RunConfig(
-            brute_cap=args.brute_cap,
-            labeling_cap=args.labeling_cap,
-            fiber_cap=args.fiber_cap,
-            output_format=args.format,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    return args.handler(args, config)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

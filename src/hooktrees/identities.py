@@ -16,11 +16,11 @@ evaluation or comparison path.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from numbers import Rational
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .trees import catalan, iter_trees, subtree_sizes
@@ -28,6 +28,14 @@ from .trees import catalan, iter_trees, subtree_sizes
 DEFAULT_BRUTE_CAP = 14  # catalan(14) = 2,674,440 trees: desk-scale seconds
 
 MODES = ("brute", "recurrence", "both")
+
+
+def _exact(name: str, h: int, value: object) -> Fraction:
+    # A float would pass through Fraction() and make every exact comparison
+    # downstream compare rounding errors instead.
+    if not isinstance(value, Rational):
+        raise ValueError(f"weight {name!r} gave non-rational {value!r} for hook length {h}")
+    return Fraction(value)
 
 
 class HookWeight:
@@ -49,14 +57,14 @@ class HookWeight:
             pass
         if h < 1:
             raise ValueError("hook lengths are positive integers")
-        value = Fraction(self._fn(h))
+        value = _exact(self.name, h, self._fn(h))
         self._values[h] = value
         return value
 
     @classmethod
     def from_values(cls, name: str, values: Mapping[int, Union[Fraction, int]]) -> "HookWeight":
         """Weight backed by a finite table; undefined hook lengths raise."""
-        table = {int(h): Fraction(v) for h, v in values.items()}
+        table = {int(h): _exact(name, h, v) for h, v in values.items()}
 
         def lookup(h: int) -> Fraction:
             try:
@@ -182,17 +190,15 @@ class VerificationRecord:
             fields.append(fraction_str(self.rhs))
         return "\t".join(fields)
 
-    def json_line(self) -> str:
-        return json.dumps(
-            {
-                "identity": self.identity,
-                "n": self.n,
-                "mode": self.mode,
-                "status": self.status,
-                "lhs": fraction_str(self.lhs),
-                "rhs": fraction_str(self.rhs),
-            }
-        )
+    def row(self) -> dict[str, object]:
+        return {
+            "identity": self.identity,
+            "n": self.n,
+            "mode": self.mode,
+            "status": self.status,
+            "lhs": fraction_str(self.lhs),
+            "rhs": fraction_str(self.rhs),
+        }
 
 
 @dataclass(frozen=True)
@@ -208,10 +214,6 @@ class VerificationReport:
     @property
     def first_failure(self) -> Optional[VerificationRecord]:
         return next((record for record in self.records if not record.passed), None)
-
-    def lines(self, output_format: str = "tsv") -> Iterator[str]:
-        for record in self.records:
-            yield record.json_line() if output_format == "json" else record.tsv_line()
 
 
 def _check(

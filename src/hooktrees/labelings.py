@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import permutations
 from math import factorial, prod
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 from .identities import DEFAULT_BRUTE_CAP
 from .trees import Node, Tree, encode, iter_trees, subtree_sizes
@@ -80,13 +80,27 @@ def bst_shape(values: Sequence[int]) -> Tree:
     The first value becomes the root; strictly smaller values descend left,
     all others right.  Only the relative order of the values matters.
     """
-    if not values:
-        return None
-    pivot = values[0]
-    rest = values[1:]
-    smaller = [v for v in rest if v < pivot]
-    other = [v for v in rest if v >= pivot]
-    return Node(bst_shape(smaller), bst_shape(other))
+    # The search tree is the Cartesian tree on keys (value, position) with
+    # position as heap priority (Vuillemin 1980): one stack scan in key
+    # order links the children, then nodes are built from the last
+    # position to the first, since every child comes after its parent.
+    # Index n stands for an absent child.
+    n = len(values)
+    left = [n] * n
+    right = [n] * n
+    stack: list[int] = []
+    for i in sorted(range(n), key=values.__getitem__):  # stable: ties by position
+        last = n
+        while stack and stack[-1] > i:
+            last = stack.pop()
+        left[i] = last
+        if stack:
+            right[stack[-1]] = i
+        stack.append(i)
+    nodes: list[Tree] = [None] * (n + 1)
+    for i in reversed(range(n)):
+        nodes[i] = Node(nodes[left[i]], nodes[right[i]])
+    return nodes[0]
 
 
 def shape_fiber_histogram(n: int, *, cap: int = DEFAULT_FIBER_CAP) -> dict[str, int]:
@@ -113,22 +127,3 @@ def verify_eq2(n: int, *, cap: int = DEFAULT_BRUTE_CAP) -> bool:
         raise ValueError(f"n={n} exceeds the brute-force cap {cap}")
     total = sum(increasing_labelings_count(t) for t in iter_trees(n))
     return total == factorial(n)
-
-
-def histogram_lines(histogram: Mapping[str, int]) -> Iterator[str]:
-    """Serialize a fiber histogram as 'code<TAB>count', sorted by code."""
-    for code in sorted(histogram):
-        yield f"{code}\t{histogram[code]}"
-
-
-def parse_permutation(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated permutation of 1..n, e.g. '2,1,3'."""
-    if not text.strip():
-        return ()
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"permutation must be comma-separated integers, got {text!r}") from None
-    if sorted(values) != list(range(1, len(values) + 1)):
-        raise ValueError(f"values must be a rearrangement of 1..{len(values)}, got {text!r}")
-    return values

@@ -15,7 +15,8 @@ as many ones as zeros).  The single vertex encodes as "10", the empty tree
 as "".
 
 Traversals use explicit stacks throughout: tree shapes can be chains, and
-call-stack recursion would cap the usable size.
+call-stack recursion would cap the usable size.  Bottom-up quantities
+(subtree sizes, ranks) come from one pass over the reversed preorder.
 """
 
 from __future__ import annotations
@@ -55,15 +56,7 @@ def catalan(n: int) -> int:
 
 def size(t: Tree) -> int:
     """Vertex count; the empty tree has size 0."""
-    total = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node is not None:
-            total += 1
-            stack.append(node.left)
-            stack.append(node.right)
-    return total
+    return len(_preorder(t))
 
 
 def _preorder(t: Tree) -> list[Node]:
@@ -196,21 +189,6 @@ def decode(code: str) -> Tree:
     return root
 
 
-def _size_map(t: Tree) -> dict[int, int]:
-    # Subtree size keyed by id(node); shared nodes agree, so overwrites
-    # are harmless.
-    order = _preorder(t)
-    sizes: dict[int, int] = {}
-    for node in reversed(order):
-        s = 1
-        if node.left is not None:
-            s += sizes[id(node.left)]
-        if node.right is not None:
-            s += sizes[id(node.right)]
-        sizes[id(node)] = s
-    return sizes
-
-
 def _left_block_offset(n: int, k: int) -> int:
     # Trees of size n whose left subtree is smaller than k all come first.
     return sum(catalan(j) * catalan(n - 1 - j) for j in range(k))
@@ -218,19 +196,17 @@ def _left_block_offset(n: int, k: int) -> int:
 
 def rank(t: Tree) -> int:
     """Position of the tree in the canonical order of its size class."""
-    sizes = _size_map(t)
-    total = 0
-    stack: list[tuple[Tree, int]] = [(t, 1)]
-    while stack:
-        node, weight = stack.pop()
-        if node is None:
-            continue
-        n = sizes[id(node)]
-        k = sizes[id(node.left)] if node.left is not None else 0
-        total += weight * _left_block_offset(n, k)
-        stack.append((node.right, weight))
-        stack.append((node.left, weight * catalan(n - 1 - k)))
-    return total
+    # One bottom-up pass: a vertex of size n with a left subtree of size k
+    # has rank offset(n, k) + rank(left) * C(n-1-k) + rank(right).
+    # (size, rank) is keyed by id(node), so shared subtrees agree; the
+    # entry for None stands for every absent child.
+    done: dict[int, tuple[int, int]] = {id(None): (0, 0)}
+    for node in reversed(_preorder(t)):
+        k, left = done[id(node.left)]
+        m, right = done[id(node.right)]
+        n = k + m + 1
+        done[id(node)] = (n, _left_block_offset(n, k) + left * catalan(m) + right)
+    return done[id(t)][1]
 
 
 def unrank(n: int, i: int) -> Tree:

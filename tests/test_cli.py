@@ -1,11 +1,13 @@
 import json
+import re
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
 from hooktrees import identities
-from hooktrees.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, RunConfig, main
+from hooktrees.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
 def run(capsys, *argv):
@@ -182,6 +184,14 @@ class TestRankUnrankCommands:
         assert code == EXIT_USAGE
         assert "out of range" in err
 
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "rank", "111000")
+        assert code == EXIT_OK
+        assert [json.loads(line) for line in out] == [{"rank": 4}]
+        code, out, _ = run(capsys, "--format", "json", "unrank", "3", "4")
+        assert code == EXIT_OK
+        assert [json.loads(line) for line in out] == [{"code": "111000"}]
+
     def test_roundtrip_through_text(self, capsys):
         code, out, _ = run(capsys, "unrank", "9", "1234")
         assert code == EXIT_OK
@@ -191,22 +201,38 @@ class TestRankUnrankCommands:
 
 class TestConfig:
     def test_defaults(self):
-        config = RunConfig()
-        assert config.brute_cap == 14
-        assert config.labeling_cap == 10
-        assert config.fiber_cap == 8
-        assert config.output_format == "tsv"
-        assert config.seed == 0
+        args = build_parser().parse_args(["enumerate", "3"])
+        assert args.brute_cap == 14
+        assert args.fiber_cap == 8
+        assert args.format == "tsv"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(brute_cap=0)
-        with pytest.raises(ValueError):
-            RunConfig(output_format="xml")
+        for argv in (["--fiber-cap", "0"], ["--format", "xml"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*argv, "enumerate", "3"])
+            assert excinfo.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--seed", "--labeling-cap"])
+    def test_removed_flags_rejected(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main([flag, "7", "fibers", "4"])
+        assert excinfo.value.code == EXIT_USAGE
+
+    def test_readme_lists_exactly_the_cli_flags(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"--[a-z][a-z-]*", section))
+        parser_flags = {
+            flag
+            for action in build_parser()._actions
+            for flag in action.option_strings
+            if flag.startswith("--")
+        }
+        assert documented == parser_flags - {"--help"}
 
     def test_flags_reach_config(self, capsys):
         # caps only tighten behavior; a permissive cap lets the command run
-        code, out, _ = run(capsys, "--fiber-cap", "9", "--seed", "7", "fibers", "4")
+        code, out, _ = run(capsys, "--fiber-cap", "9", "fibers", "4")
         assert code == EXIT_OK
         assert out[-1] == "total\t24"
 

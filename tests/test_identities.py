@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from math import factorial
 
@@ -67,6 +66,13 @@ class TestHookWeight:
         assert weight(2) == 1
         with pytest.raises(ValueError):
             weight(3)
+
+    def test_float_values_rejected(self):
+        weight = HookWeight("1/h", lambda h: 1 / h)
+        with pytest.raises(ValueError, match=r"'1/h'.* hook length 2"):
+            weight(2)
+        with pytest.raises(ValueError, match=r"'halves'.* hook length 1"):
+            HookWeight.from_values("halves", {1: 0.5})
 
 
 class TestEvalBrute:
@@ -263,8 +269,7 @@ class TestReportSerialization:
 
     def test_json_record_keys(self):
         record = verify("han5", 2, 2, "both").records[0]
-        payload = json.loads(record.json_line())
-        assert payload == {
+        assert record.row() == {
             "identity": "han5",
             "n": 2,
             "mode": "both",
@@ -272,14 +277,6 @@ class TestReportSerialization:
             "lhs": "1/120",
             "rhs": "1/120",
         }
-
-    def test_report_lines(self):
-        report = verify("catalan", 0, 2, "recurrence")
-        assert list(report.lines()) == [
-            "catalan\t0\trecurrence\tPASS",
-            "catalan\t1\trecurrence\tPASS",
-            "catalan\t2\trecurrence\tPASS",
-        ]
 
 
 class TestFractionStr:

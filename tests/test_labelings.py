@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial, prod
 
 import pytest
@@ -8,11 +8,9 @@ from hooktrees import (
     bst_shape,
     catalan,
     encode,
-    histogram_lines,
     increasing_labelings_brute,
     increasing_labelings_count,
     iter_trees,
-    parse_permutation,
     shape_fiber_histogram,
     subtree_sizes,
     verify_eq2,
@@ -21,6 +19,16 @@ from hooktrees import (
 BALANCED_3 = Node(Node(), Node())
 LEFT_CHAIN_3 = Node(Node(Node(), None), None)
 LEFT_CHAIN_4 = Node(Node(Node(Node(), None), None), None)
+
+
+def bst_shape_recursive(values):
+    # Reference: insert by recursive partition around the first value.
+    if not values:
+        return None
+    pivot, rest = values[0], values[1:]
+    smaller = [v for v in rest if v < pivot]
+    other = [v for v in rest if v >= pivot]
+    return Node(bst_shape_recursive(smaller), bst_shape_recursive(other))
 
 
 class TestLabelingCount:
@@ -85,6 +93,21 @@ class TestBstShape:
     def test_only_relative_order_matters(self):
         assert bst_shape((20, 10, 30)) == bst_shape((2, 1, 3))
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_recursive_oracle(self, n):
+        for perm in permutations(range(1, n + 1)):
+            assert bst_shape(perm) == bst_shape_recursive(perm)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_ties_match_recursive_oracle(self, n):
+        for values in product(range(1, 4), repeat=n):
+            assert bst_shape(values) == bst_shape_recursive(values)
+
+    def test_long_sorted_input_is_a_chain(self):
+        n = 3000
+        assert encode(bst_shape(range(1, n + 1))) == "10" * n
+        assert encode(bst_shape(range(n, 0, -1))) == "1" * n + "0" * n
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_shape_is_reached(self, n):
         shapes = {encode(bst_shape(p)) for p in permutations(range(1, n + 1))}
@@ -136,19 +159,3 @@ class TestVerifyEq2:
         with pytest.raises(ValueError):
             verify_eq2(0)
 
-
-class TestSerialization:
-    def test_histogram_lines_sorted(self):
-        lines = list(histogram_lines({"1100": 1, "1010": 1}))
-        assert lines == ["1010\t1", "1100\t1"]
-
-    def test_parse_permutation(self):
-        assert parse_permutation("2,1,3") == (2, 1, 3)
-        assert parse_permutation("1") == (1,)
-        assert parse_permutation(" 3 , 1 , 2 ") == (3, 1, 2)
-        assert parse_permutation("") == ()
-
-    @pytest.mark.parametrize("text", ["2,2", "0,1", "1,3", "a,b", "1,,2"])
-    def test_parse_rejects(self, text):
-        with pytest.raises(ValueError):
-            parse_permutation(text)

@@ -212,6 +212,11 @@ class TestRankUnrank:
             assert rank(tree) == i
             assert decode(encode(tree)) == tree
 
+    def test_chain_ranks_at_600(self):
+        n = 600
+        assert rank(decode("1" * n + "0" * n)) == catalan(n) - 1
+        assert rank(decode("10" * n)) == 0
+
     def test_deep_chain_survives(self):
         # Chains exercise the explicit-stack traversals well past any
         # recursion limit a recursive implementation would hit.
