@@ -2,7 +2,8 @@
 
 Exit codes are stable across subcommands: 0 when every check passed, 1 when
 a verification failed, 2 for usage or precondition errors (unknown names,
-exceeded caps, malformed codes).
+exceeded caps, malformed codes).  Handlers let the library's ValueErrors
+propagate; ``main`` maps every one of them to exit 2 with a one-line message.
 """
 
 from __future__ import annotations
@@ -30,22 +31,17 @@ def _emit(args: argparse.Namespace, row: dict, tsv: str) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     failed = False
-    try:
-        for record in identities.iter_verify(
-            args.identity, args.n_from, args.n_to, args.mode, brute_cap=args.brute_cap
-        ):
-            _emit(args, record.row(), record.tsv_line())
-            failed = failed or not record.passed
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    for record in identities.iter_verify(
+        args.identity, args.n_from, args.n_to, args.mode, brute_cap=args.brute_cap
+    ):
+        _emit(args, record.row(), record.tsv_line())
+        failed = failed or not record.passed
     return EXIT_FAILED if failed else EXIT_OK
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.n > args.brute_cap:
         return _usage_error(f"n={args.n} exceeds the brute-force cap {args.brute_cap}")
-    if args.n < 0:
-        return _usage_error("n must be nonnegative")
     for tree in trees.iter_trees(args.n):
         code = trees.encode(tree)
         _emit(args, {"code": code}, code)
@@ -53,10 +49,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fibers(args: argparse.Namespace) -> int:
-    try:
-        histogram = labelings.shape_fiber_histogram(args.n, cap=args.fiber_cap)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    histogram = labelings.shape_fiber_histogram(args.n, cap=args.fiber_cap)
     for code, count in sorted(histogram.items()):
         _emit(args, {"code": code, "count": count}, f"{code}\t{count}")
     total = sum(histogram.values())
@@ -65,8 +58,6 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.n_to < 0:
-        return _usage_error("n_to must be nonnegative")
     identity = identities.get_identity(args.identity)
     table = identities.SumTable(identity.weight)
     mismatched = False
@@ -84,20 +75,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    try:
-        tree = trees.decode(args.code)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    value = trees.rank(tree)
+    value = trees.rank(trees.decode(args.code))
     _emit(args, {"rank": value}, str(value))
     return EXIT_OK
 
 
 def _cmd_unrank(args: argparse.Namespace) -> int:
-    try:
-        code = trees.encode(trees.unrank(args.n, args.index))
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    code = trees.encode(trees.unrank(args.n, args.index))
     _emit(args, {"code": code}, code)
     return EXIT_OK
 
@@ -156,8 +140,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.handler(args)
+    # Ranks of trees with a few thousand vertices have more digits than the
+    # default int/str conversion limit allows, so lift it for this call.
+    # Pythons before 3.10.7 have no limit and no setter.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

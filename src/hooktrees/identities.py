@@ -160,7 +160,6 @@ class HookIdentity:
     weight: HookWeight
     prefactor: Callable[[int], Fraction]
     rhs: Callable[[int], Fraction]
-    doc: str = ""
 
 
 def fraction_str(value: Fraction) -> str:
@@ -310,28 +309,24 @@ def _builtins() -> dict[str, HookIdentity]:
             weight=HookWeight("1", lambda h: Fraction(1)),
             prefactor=lambda n: Fraction(1),
             rhs=lambda n: Fraction(catalan(n)),
-            doc="sum_T 1 = C(2n,n)/(n+1)",
         ),
         "labelings": HookIdentity(
             name="labelings",
             weight=HookWeight("1/h", lambda h: Fraction(1, h)),
             prefactor=lambda n: Fraction(factorial(n)),
             rhs=lambda n: Fraction(factorial(n)),
-            doc="n! * sum_T prod_v 1/h_v = n!",
         ),
         "postnikov": HookIdentity(
             name="postnikov",
             weight=HookWeight("1+1/h", lambda h: Fraction(h + 1, h)),
             prefactor=lambda n: Fraction(factorial(n), 2**n),
             rhs=lambda n: Fraction(n + 1) ** (n - 1),
-            doc="(n!/2^n) * sum_T prod_v (1 + 1/h_v) = (n+1)^(n-1)",
         ),
         "han4": HookIdentity(
             name="han4",
             weight=HookWeight("1/(h*2^(h-1))", lambda h: Fraction(1, h * 2 ** (h - 1))),
             prefactor=lambda n: Fraction(1),
             rhs=lambda n: Fraction(1, factorial(n)),
-            doc="sum_T prod_v 1/(h_v*2^(h_v-1)) = 1/n!",
         ),
         "han5": HookIdentity(
             name="han5",
@@ -340,7 +335,6 @@ def _builtins() -> dict[str, HookIdentity]:
             ),
             prefactor=lambda n: Fraction(1),
             rhs=lambda n: Fraction(1, factorial(2 * n + 1)),
-            doc="sum_T prod_v 1/((2h_v+1)*2^(2h_v-1)) = 1/(2n+1)!",
         ),
     }
 

@@ -12,7 +12,8 @@ The codec emits one '1' per vertex in preorder and one '0' per absent
 child, recursing left then right; the final '0' is forced and dropped,
 giving exactly 2n bits with the ballot property (every prefix has at least
 as many ones as zeros).  The single vertex encodes as "10", the empty tree
-as "".
+as "".  ``decode`` reads the code backwards, where it is a postfix word,
+with one stack of finished subtrees.
 
 Traversals use explicit stacks throughout: tree shapes can be chains, and
 call-stack recursion would cap the usable size.  Bottom-up quantities
@@ -106,17 +107,10 @@ def hook_lengths(t: Tree) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _tree_table(n: int) -> tuple[Tree, ...]:
-    # Shared pool of every tree with n vertices, in canonical order.
-    # Subtrees are drawn from the smaller pools; sharing is safe because
-    # nodes are immutable.
-    if n == 0:
-        return (None,)
-    return tuple(
-        Node(left, right)
-        for k in range(n)
-        for left in _tree_table(k)
-        for right in _tree_table(n - 1 - k)
-    )
+    # Shared pool of every tree with n vertices, in canonical order.  Pools
+    # nest through iter_trees; sharing subtrees is safe because nodes are
+    # immutable.
+    return tuple(iter_trees(n))
 
 
 def iter_trees(n: int) -> Iterator[Tree]:
@@ -153,9 +147,6 @@ def encode(t: Tree) -> str:
     return "".join(bits)
 
 
-_UNSET = object()
-
-
 def decode(code: str) -> Tree:
     """Rebuild the tree from its canonical code.
 
@@ -165,32 +156,26 @@ def decode(code: str) -> Tree:
     """
     if set(code) - {"0", "1"}:
         raise ValueError("tree code must consist of '0' and '1' only")
-    frames: list[object] = []  # per open vertex: _UNSET, or its finished left child
-    root: object = _UNSET
-    for pos, bit in enumerate(code + "0"):  # restore the dropped final 0
-        if root is not _UNSET:
-            raise ValueError(
-                f"invalid tree code: complete at position {pos}, ballot property violated"
-            )
-        if bit == "1":
-            frames.append(_UNSET)
-            continue
-        subtree: Tree = None
-        while True:
-            if not frames:
-                root = subtree
-                break
-            if frames[-1] is _UNSET:
-                frames[-1] = subtree
-                break
-            subtree = Node(frames.pop(), subtree)
-    if root is _UNSET:
-        raise ValueError("invalid tree code: ran out of bits with unclosed vertices")
-    return root
+    # Read backwards, the full preorder word is postfix: a '0' pushes the
+    # empty tree, a '1' joins the left (top) and right subtrees below it.
+    stack: list[Tree] = []
+    for bit in reversed(code + "0"):  # restore the dropped final 0
+        if bit == "0":
+            stack.append(None)
+        elif len(stack) < 2:
+            raise ValueError("invalid tree code: ballot property violated")
+        else:
+            stack.append(Node(stack.pop(), stack.pop()))
+    if len(stack) != 1:
+        raise ValueError("invalid tree code: ballot property violated")
+    return stack[0]
 
 
 def _left_block_offset(n: int, k: int) -> int:
     # Trees of size n whose left subtree is smaller than k all come first.
+    # Blocks are symmetric under k <-> n-1-k, so sum from the nearer end.
+    if 2 * k > n:
+        return catalan(n) - _left_block_offset(n, n - k)
     return sum(catalan(j) * catalan(n - 1 - j) for j in range(k))
 
 
@@ -225,13 +210,18 @@ def unrank(n: int, i: int) -> Tree:
             bits.append("0")
             continue
         bits.append("1")
-        k = 0
-        while True:
-            block = catalan(k) * catalan(m - 1 - k)
-            if j < block:
-                break
-            j -= block
-            k += 1
+        # Find the block of left-subtree size k holding j, scanning from the
+        # end nearer to j; blocks are symmetric under k <-> m-1-k.
+        if 2 * j < catalan(m):
+            k = 0
+            while j >= (block := catalan(k) * catalan(m - 1 - k)):
+                j -= block
+                k += 1
+        else:
+            k, j = m, j - catalan(m)  # negative: counted back from the end
+            while j < 0:
+                k -= 1
+                j += catalan(k) * catalan(m - 1 - k)
         left_index, right_index = divmod(j, catalan(m - 1 - k))
         tasks.append((m - 1 - k, right_index))
         tasks.append((k, left_index))

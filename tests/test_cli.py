@@ -1,12 +1,13 @@
 import json
 import re
+import sys
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
 import pytest
 
-from hooktrees import identities
+from hooktrees import catalan, identities
 from hooktrees.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
@@ -197,6 +198,48 @@ class TestRankUnrankCommands:
         assert code == EXIT_OK
         code, out, _ = run(capsys, "rank", out[0])
         assert out == ["1234"]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no int/str digit limit")
+    def test_ranks_past_the_int_str_digit_limit(self, capsys):
+        n = 1100
+        chain = "1" * n + "0" * n
+        last = str(catalan(n) - 1)  # 659 digits
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = run(capsys, "rank", chain)
+            assert (code, out) == (EXIT_OK, [last])
+            code, out, _ = run(capsys, "unrank", str(n), last)
+            assert (code, out) == (EXIT_OK, [chain])
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    def test_runs_without_a_digit_limit_setter(self, capsys, monkeypatch):
+        # Pythons before 3.10.7 have neither accessor.
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        assert run(capsys, "rank", "111000")[:2] == (EXIT_OK, ["4"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "han4", "-1"],
+        ["enumerate", "-1"],
+        ["fibers", "9"],
+        ["rank", "1x0"],
+        ["rank", "1"],
+        ["unrank", "3", "5"],
+        ["verify", "han4", "5", "3", "both"],
+    ],
+)
+def test_library_errors_are_one_line_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == []
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestConfig:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from collections import Counter, deque
 from math import comb
@@ -18,6 +19,7 @@ from hooktrees import (
     subtree_sizes,
     unrank,
 )
+from hooktrees.trees import _left_block_offset
 
 SINGLE = Node()
 LEFT_CHAIN_2 = Node(Node(), None)
@@ -170,6 +172,17 @@ class TestCodec:
         with pytest.raises(ValueError):
             decode(code)
 
+    @pytest.mark.parametrize("length", range(17))
+    def test_accepts_exactly_the_codes_of_trees(self, length):
+        valid = {encode(t) for t in iter_trees(length // 2)} if length % 2 == 0 else set()
+        for bits in itertools.product("01", repeat=length):
+            code = "".join(bits)
+            if code in valid:
+                assert encode(decode(code)) == code
+            else:
+                with pytest.raises(ValueError, match="ballot"):
+                    decode(code)
+
     def test_ballot_property_of_codes(self):
         for tree in iter_trees(6):
             code = encode(tree)
@@ -216,6 +229,26 @@ class TestRankUnrank:
         n = 600
         assert rank(decode("1" * n + "0" * n)) == catalan(n) - 1
         assert rank(decode("10" * n)) == 0
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_roundtrip_at_both_ends_and_middle(self, n):
+        total = catalan(n)
+        for i in {0, total // 2 - 1, total // 2, total - 1} - {-1}:  # -1 when n = 1
+            assert rank(unrank(n, i)) == i
+
+    def test_left_chain_at_3000(self):
+        n = 3000
+        code = "1" * n + "0" * n
+        assert rank(decode(code)) == catalan(n) - 1
+        assert encode(unrank(n, catalan(n) - 1)) == code
+
+    def test_left_block_offset_matches_one_sided_sum(self):
+        # The one-sided sum over the k smaller left subtrees is the
+        # definition; the library sums from whichever end is nearer.
+        for n in range(41):
+            for k in range(n + 1):
+                expected = sum(catalan(j) * catalan(n - 1 - j) for j in range(k))
+                assert _left_block_offset(n, k) == expected
 
     def test_deep_chain_survives(self):
         # Chains exercise the explicit-stack traversals well past any
