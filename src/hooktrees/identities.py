@@ -4,8 +4,8 @@ For a weight w mapping hook lengths to rationals, the statistic of interest
 is S(n) = sum over all n-vertex binary trees of prod over vertices of
 w(h_v).  The module evaluates S(n) two independent ways:
 
-* brute force: enumerate every tree and recompute its hook lengths by
-  traversal (``eval_brute``);
+* brute force: enumerate every tree, count trees per hook multiset found by
+  traversal, and sum count times product of weights (``eval_brute``);
 * the root-split convolution S(n) = w(n) * sum_k S(k) * S(n-1-k) with
   S(0) = 1, filled bottom-up (``eval_recurrence``).
 
@@ -17,13 +17,14 @@ evaluation or comparison path.
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from numbers import Rational
 from typing import Callable, Iterator, Mapping, Optional, Union
 
-from .trees import catalan, iter_trees, subtree_sizes
+from .trees import catalan, hook_histogram
 
 DEFAULT_BRUTE_CAP = 14  # catalan(14) = 2,674,440 trees: desk-scale seconds
 
@@ -79,11 +80,12 @@ class HookWeight:
 
 
 class SumTable:
-    """Bottom-up memo of S(n) values for one weight, with S(0) = 1."""
+    """Bottom-up memo of S(n) for one weight, with S(0) = 1; safe to share between threads."""
 
     def __init__(self, weight: HookWeight):
         self.weight = weight
         self._values: list[Fraction] = [Fraction(1)]
+        self._lock = threading.Lock()
 
     def value(self, n: int) -> Fraction:
         if n < 0:
@@ -91,8 +93,11 @@ class SumTable:
         values = self._values
         while len(values) <= n:
             m = len(values)
-            conv = sum(values[k] * values[m - 1 - k] for k in range(m))
-            values.append(self.weight(m) * conv)
+            value = self.weight(m) * sum(values[k] * values[m - 1 - k] for k in range(m))
+            # Another thread may have appended entry m; the weight may block, so it runs unlocked.
+            with self._lock:
+                if len(values) == m:
+                    values.append(value)
         return values[n]
 
     def __len__(self) -> int:
@@ -100,8 +105,8 @@ class SumTable:
 
 
 def eval_brute(weight: HookWeight, n: int, *, cap: Optional[int] = DEFAULT_BRUTE_CAP) -> Fraction:
-    """S(n) by full enumeration: every tree is generated and its hook
-    lengths recomputed by traversal.
+    """S(n) by full enumeration: sum over the hook multisets of n-vertex
+    trees, found by traversal, of tree count times product of weights.
 
     Independent of the recurrence path by construction.  For n = 0 the sum
     has one term, the empty product over the empty tree, so the result is 1.
@@ -111,26 +116,10 @@ def eval_brute(weight: HookWeight, n: int, *, cap: Optional[int] = DEFAULT_BRUTE
         raise ValueError("n must be nonnegative")
     if cap is not None and n > cap:
         raise ValueError(f"n={n} exceeds the brute-force cap {cap}; pass a larger cap to override")
-    if n == 0:
-        return Fraction(1)
-    numerators = [0] * (n + 1)
-    denominators = [0] * (n + 1)
-    for h in range(1, n + 1):
-        value = weight(h)
-        numerators[h] = value.numerator
-        denominators[h] = value.denominator
-    # Per-tree products are exact integer pairs; partial sums are grouped
-    # by denominator so only one reduction happens per distinct value.
-    # Grouping reorders the summation, which cannot change the exact total.
-    totals: dict[int, int] = {}
-    for tree in iter_trees(n):
-        num = 1
-        den = 1
-        for h in subtree_sizes(tree):
-            num *= numerators[h]
-            den *= denominators[h]
-        totals[den] = totals.get(den, 0) + num
-    return sum((Fraction(num, den) for den, num in totals.items()), start=Fraction(0))
+    return sum(
+        count * prod(map(weight, hooks), start=Fraction(1))
+        for hooks, count in hook_histogram(n).items()
+    )
 
 
 def eval_recurrence(weight: HookWeight, n: int, table: Optional[SumTable] = None) -> Fraction:
@@ -291,7 +280,7 @@ def odd_binomial_sum(n: int) -> int:
     return sum(comb(2 * n, 2 * k + 1) for k in range(n))
 
 
-def random_hook_weight(seed: int, max_h: int = 16, name: Optional[str] = None) -> HookWeight:
+def random_hook_weight(seed: int, max_h: int = 16) -> HookWeight:
     """Deterministic pseudo-random weight for oracle-equivalence tests.
 
     Assigns p/q with p, q drawn uniformly from 1..9 to every hook length up
@@ -299,7 +288,7 @@ def random_hook_weight(seed: int, max_h: int = 16, name: Optional[str] = None) -
     """
     rng = random.Random(seed)
     values = {h: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for h in range(1, max_h + 1)}
-    return HookWeight.from_values(name or f"random-{seed}", values)
+    return HookWeight.from_values(f"random-{seed}", values)
 
 
 def _builtins() -> dict[str, HookIdentity]:

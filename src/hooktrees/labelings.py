@@ -15,8 +15,8 @@ from itertools import permutations
 from math import factorial, prod
 from typing import Sequence
 
-from .identities import DEFAULT_BRUTE_CAP
-from .trees import Node, Tree, encode, iter_trees, subtree_sizes
+from .identities import DEFAULT_BRUTE_CAP, iter_verify
+from .trees import Node, Tree, encode, subtree_sizes
 
 DEFAULT_LABELING_CAP = 10
 DEFAULT_FIBER_CAP = 8  # 8! = 40320 permutations
@@ -120,10 +120,7 @@ def shape_fiber_histogram(n: int, *, cap: int = DEFAULT_FIBER_CAP) -> dict[str, 
 
 
 def verify_eq2(n: int, *, cap: int = DEFAULT_BRUTE_CAP) -> bool:
-    """Exact check that labeling counts over all n-vertex shapes sum to n!."""
+    """Exact check that labeling counts sum to n!: the ``labelings`` identity on the brute route."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the brute-force cap {cap}")
-    total = sum(increasing_labelings_count(t) for t in iter_trees(n))
-    return total == factorial(n)
+    return next(iter_verify("labelings", n, n, "brute", brute_cap=cap)).passed

@@ -22,23 +22,31 @@ call-stack recursion would cap the usable size.  Bottom-up quantities
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterator, Optional
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Node:
     """A vertex with optional left and right children.
 
     The empty tree is represented by ``None``, so ``Node()`` is the single
-    isolated vertex.  Instances are immutable after construction and safe
-    to share between trees and between concurrent workers.
+    isolated vertex.  Instances are immutable, safe to share between trees
+    and concurrent workers, and compare and hash by their code, so deep
+    trees compare without recursion.
     """
 
     left: Optional["Node"] = None
     right: Optional["Node"] = None
+
+    def __eq__(self, other: object) -> bool:
+        return encode(self) == encode(other) if isinstance(other, Node) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(encode(self))
 
     def __repr__(self) -> str:
         return f"<tree {encode(self)}>"
@@ -129,6 +137,11 @@ def iter_trees(n: int) -> Iterator[Tree]:
         for left in _tree_table(k):
             for right in _tree_table(n - 1 - k):
                 yield Node(left, right)
+
+
+def hook_histogram(n: int) -> Counter[tuple[int, ...]]:
+    """Count of n-vertex trees per sorted hook multiset, by traversal alone; {(): 1} at n = 0."""
+    return Counter(tuple(sorted(subtree_sizes(t))) for t in iter_trees(n))
 
 
 def encode(t: Tree) -> str:

@@ -1,3 +1,4 @@
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -91,11 +92,11 @@ class TestEvalBrute:
     def test_matches_naive_reference(self):
         for name in BUILTIN_NAMES:
             weight = get_identity(name).weight
-            for n in range(7):
+            for n in range(10):
                 assert eval_brute(weight, n) == naive_sum(weight, n)
-        for seed in range(3):
-            weight = random_hook_weight(seed, max_h=6)
-            for n in range(7):
+        for seed in range(10):
+            weight = random_hook_weight(seed, max_h=9)
+            for n in range(10):
                 assert eval_brute(weight, n) == naive_sum(weight, n)
 
     def test_cap_enforced(self):
@@ -130,6 +131,27 @@ class TestEvalRecurrence:
         assert len(table) == 9
         assert eval_recurrence(HAN5.weight, 8, table) == first
         assert eval_recurrence(HAN5.weight, 4, table) == Fraction(1, factorial(9))
+
+    def test_shared_between_threads(self):
+        # Both threads compute entry 3 at once: each waits in the weight
+        # until the other arrives, then both try to store it.
+        barrier = threading.Barrier(2, timeout=10)
+
+        def han4(h):
+            if h == 3:
+                barrier.wait()
+            return Fraction(1, h * 2 ** (h - 1))
+
+        table = SumTable(HookWeight("han4", han4))
+        threads = [threading.Thread(target=table.value, args=(6,)) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+            assert not thread.is_alive()
+        assert not barrier.broken
+        assert len(table) == 7
+        assert [table.value(n) for n in range(8)] == [Fraction(1, factorial(n)) for n in range(8)]
 
     def test_foreign_table_rejected(self):
         with pytest.raises(ValueError):

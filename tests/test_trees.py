@@ -2,7 +2,7 @@ import dataclasses
 import itertools
 import random
 from collections import Counter, deque
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +19,7 @@ from hooktrees import (
     subtree_sizes,
     unrank,
 )
-from hooktrees.trees import _left_block_offset
+from hooktrees.trees import _left_block_offset, hook_histogram
 
 SINGLE = Node()
 LEFT_CHAIN_2 = Node(Node(), None)
@@ -121,6 +121,24 @@ class TestHookLengths:
     def test_census_at_three(self):
         census = Counter(hook_lengths(t) for t in iter_trees(3))
         assert census == {(1, 2, 3): 4, (1, 1, 3): 1}
+
+
+class TestHookHistogram:
+    @pytest.mark.parametrize("n", range(13))
+    def test_census_invariants(self, n):
+        histogram = hook_histogram(n)
+        assert sum(histogram.values()) == catalan(n)
+        # Each count is n!/prod(h) increasing labelings; together they are
+        # the n! permutations.
+        assert sum(c * (factorial(n) // prod(h)) for h, c in histogram.items()) == factorial(n)
+        if n >= 1:
+            assert set(histogram) == {hook_lengths(t) for t in iter_trees(n)}
+
+    def test_empty_tree(self):
+        assert hook_histogram(0) == {(): 1}
+
+    def test_distinct_multisets(self):
+        assert [len(hook_histogram(n)) for n in (8, 10, 12)] == [45, 194, 863]
 
 
 class TestEnumeration:
@@ -265,6 +283,21 @@ class TestImmutability:
         node = Node()
         with pytest.raises(dataclasses.FrozenInstanceError):
             node.left = Node()
+
+
+class TestNodeEquality:
+    def test_deep_chains_compare_and_hash(self):
+        # Separately decoded, so equality cannot short-cut on identity.
+        a = decode("1" * 3000 + "0" * 3000)
+        b = decode("1" * 3000 + "0" * 3000)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != decode("10" * 3000)
+
+    def test_other_types_differ(self):
+        assert Node() != None  # noqa: E711
+        assert Node() != "10"
 
 
 @given(st.data())
