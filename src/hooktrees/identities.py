@@ -7,11 +7,14 @@ w(h_v).  The module evaluates S(n) two independent ways:
 * brute force: enumerate every tree, count trees per hook multiset found by
   traversal, and sum count times product of weights (``eval_brute``);
 * the root-split convolution S(n) = w(n) * sum_k S(k) * S(n-1-k) with
-  S(0) = 1, filled bottom-up (``eval_recurrence``).
+  S(0) = 1, filled bottom-up (``eval_recurrence``).  It convolves integer
+  numerators over one common denominator and sums each mirrored pair of
+  terms once.
 
 Named identities of the form prefactor(n) * S(n) = rhs(n) are then checked
-by exact rational equality.  No floating point appears anywhere on an
-evaluation or comparison path.
+by exact rational equality.  Every value either route returns is an exact
+Fraction; no floating point appears anywhere on an evaluation or comparison
+path.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from numbers import Rational
+from operator import mul
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .trees import catalan, hook_histogram
@@ -43,7 +47,8 @@ class HookWeight:
     """A pure map from hook length (a positive integer) to an exact rational.
 
     Values are memoized, so a weight backed by an expensive callable is
-    still cheap to sample repeatedly.
+    still cheap to sample repeatedly.  An ArithmeticError or TypeError from
+    the callable becomes a ValueError that names the weight and h.
     """
 
     def __init__(self, name: str, fn: Callable[[int], Union[Fraction, int]]):
@@ -58,7 +63,13 @@ class HookWeight:
             pass
         if h < 1:
             raise ValueError("hook lengths are positive integers")
-        value = _exact(self.name, h, self._fn(h))
+        try:
+            raw = self._fn(h)
+        except (ArithmeticError, TypeError) as exc:
+            raise ValueError(
+                f"weight {self.name!r} raised {type(exc).__name__} for hook length {h}: {exc}"
+            ) from exc
+        value = _exact(self.name, h, raw)
         self._values[h] = value
         return value
 
@@ -80,11 +91,19 @@ class HookWeight:
 
 
 class SumTable:
-    """Bottom-up memo of S(n) for one weight, with S(0) = 1; safe to share between threads."""
+    """Bottom-up memo of S(n) for one weight, with S(0) = 1; safe to share between threads.
+
+    The convolution runs on integers: S(k) = _nums[k] / _den for every
+    filled k, where _den is the lcm of the denominators so far.  Entry m
+    costs one Fraction, w(m) * conv / _den**2, whose reduction gives both
+    the stored S(m) and the factor by which _den must grow to hold it.
+    """
 
     def __init__(self, weight: HookWeight):
         self.weight = weight
         self._values: list[Fraction] = [Fraction(1)]
+        self._nums: list[int] = [1]
+        self._den = 1
         self._lock = threading.Lock()
 
     def value(self, n: int) -> Fraction:
@@ -93,12 +112,29 @@ class SumTable:
         values = self._values
         while len(values) <= n:
             m = len(values)
-            value = self.weight(m) * sum(values[k] * values[m - 1 - k] for k in range(m))
-            # Another thread may have appended entry m; the weight may block, so it runs unlocked.
+            # The weight may block, so it runs unlocked; another thread may
+            # then have appended entry m already.
+            w = self.weight(m)
             with self._lock:
                 if len(values) == m:
-                    values.append(value)
+                    self._append(m, w)
         return values[n]
+
+    def _append(self, m: int, w: Fraction) -> None:
+        nums, den = self._nums, self._den
+        # S(k) * S(m-1-k) pairs with its mirror term, so sum half and double.
+        half = m // 2
+        conv = 2 * sum(map(mul, nums[:half], reversed(nums[m - half:])))
+        if m % 2:
+            conv += nums[half] ** 2
+        s = Fraction(w.numerator * conv, w.denominator * den * den)
+        scale = s.denominator // gcd(s.denominator, den)
+        if scale > 1:
+            nums[:] = [num * scale for num in nums]
+            den *= scale
+            self._den = den
+        nums.append(s.numerator * (den // s.denominator))
+        self._values.append(s)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -158,7 +194,12 @@ def fraction_str(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """Outcome of checking one identity at one n."""
+    """Outcome of checking one identity at one n.
+
+    lhs and rhs are always the identity's two sides.  When the two routes
+    disagree, brute and recurrence hold each route's S(n) and lhs is taken
+    from the recurrence; otherwise both are None.
+    """
 
     identity: str
     n: int
@@ -166,6 +207,8 @@ class VerificationRecord:
     passed: bool
     lhs: Fraction
     rhs: Fraction
+    brute: Optional[Fraction] = None
+    recurrence: Optional[Fraction] = None
 
     @property
     def status(self) -> str:
@@ -174,12 +217,13 @@ class VerificationRecord:
     def tsv_line(self) -> str:
         fields = [self.identity, str(self.n), self.mode, self.status]
         if not self.passed:
-            fields.append(fraction_str(self.lhs))
-            fields.append(fraction_str(self.rhs))
+            fields += [fraction_str(self.lhs), fraction_str(self.rhs)]
+            if self.brute is not None:
+                fields += [fraction_str(self.brute), fraction_str(self.recurrence)]
         return "\t".join(fields)
 
     def row(self) -> dict[str, object]:
-        return {
+        row = {
             "identity": self.identity,
             "n": self.n,
             "mode": self.mode,
@@ -187,6 +231,10 @@ class VerificationRecord:
             "lhs": fraction_str(self.lhs),
             "rhs": fraction_str(self.rhs),
         }
+        if self.brute is not None:
+            row["brute"] = fraction_str(self.brute)
+            row["recurrence"] = fraction_str(self.recurrence)
+        return row
 
 
 @dataclass(frozen=True)
@@ -218,12 +266,11 @@ def _check(
         s_value = eval_recurrence(identity.weight, n, table)
     if mode == "brute":
         s_value = s_brute
-    elif mode == "both" and s_brute != s_value:
-        # The two evaluation routes disagreeing is itself a failure; report
-        # the routes rather than the identity sides.
-        return VerificationRecord(identity.name, n, mode, False, s_brute, s_value)
     lhs = identity.prefactor(n) * s_value
     rhs = identity.rhs(n)
+    if mode == "both" and s_brute != s_value:
+        # The two evaluation routes disagreeing is itself a failure.
+        return VerificationRecord(identity.name, n, mode, False, lhs, rhs, s_brute, s_value)
     return VerificationRecord(identity.name, n, mode, lhs == rhs, lhs, rhs)
 
 
@@ -273,7 +320,10 @@ def verify(
 def odd_binomial_sum(n: int) -> int:
     """Sum of C(2n, 2k+1) over k = 0..n-1, by direct binomial summation.
 
-    Contract: equals 2^(2n-1), half of the full row sum of binomials.
+    Contract: equals 2^(2n-1), half of the full row sum of binomials.  This
+    is the han5 case of the induction step behind the built-ins: with
+    f(n) = 1/(2n+1)!, (2n)! * sum_k f(k) * f(n-1-k) is this sum, so
+    f(n) / sum_k f(k) * f(n-1-k) = 1/((2n+1) * 2^(2n-1)) is han5's weight.
     """
     if n < 1:
         raise ValueError("n must be positive")

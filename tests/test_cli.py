@@ -54,6 +54,24 @@ class TestVerifyCommand:
         assert out[0] == "han4\t1\trecurrence\tPASS"
         assert out[1].startswith("han4\t2\trecurrence\tFAIL\t1/2\t2/1")
 
+    def test_route_disagreement_names_both_routes(self, capsys, monkeypatch):
+        monkeypatch.setattr(identities, "eval_brute", lambda w, n, cap=None: Fraction(1, 3))
+        code, out, _ = run(capsys, "verify", "han4", "3", "3", "both")
+        assert code == EXIT_FAILED
+        assert out == ["han4\t3\tboth\tFAIL\t1/6\t1/6\t1/3\t1/6"]
+        code, out, _ = run(capsys, "--format", "json", "verify", "han4", "3", "3", "both")
+        assert code == EXIT_FAILED
+        assert json.loads(out[0]) == {
+            "identity": "han4",
+            "n": 3,
+            "mode": "both",
+            "status": "FAIL",
+            "lhs": "1/6",
+            "rhs": "1/6",
+            "brute": "1/3",
+            "recurrence": "1/6",
+        }
+
     def test_json_records(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "verify", "catalan", "0", "3", "both")
         assert code == EXIT_OK

@@ -1,3 +1,4 @@
+import sys
 import threading
 from fractions import Fraction
 from math import factorial
@@ -38,6 +39,20 @@ def naive_sum(weight, n):
     return total
 
 
+def fraction_sum_table(weight, n):
+    # Reference recurrence: S(0..n) with one Fraction multiply and add per
+    # convolution term, the loop SumTable ran before it moved to integers.
+    values = [Fraction(1)]
+    for m in range(1, n + 1):
+        values.append(weight(m) * sum(values[k] * values[m - 1 - k] for k in range(m)))
+    return values
+
+
+def signed_weight():
+    # (-1)^h * (h mod 3) / (h + 2): zero at every third h, negative at odd h.
+    return HookWeight("signed", lambda h: Fraction((-1) ** h * (h % 3), h + 2))
+
+
 HAN4 = get_identity("han4")
 HAN5 = get_identity("han5")
 
@@ -67,6 +82,22 @@ class TestHookWeight:
         assert weight(2) == 1
         with pytest.raises(ValueError):
             weight(3)
+
+    @pytest.mark.parametrize(
+        "fn,error,h",
+        [
+            (lambda h: Fraction(1, h - 2), "ZeroDivisionError", 2),
+            (lambda h: Fraction("x", h), "TypeError", 1),
+        ],
+    )
+    def test_callable_errors_become_value_errors(self, fn, error, h):
+        weight = HookWeight("bad", fn)
+        pattern = rf"'bad' raised {error} for hook length {h}"
+        with pytest.raises(ValueError, match=pattern) as info:
+            eval_recurrence(weight, 3)
+        assert type(info.value.__cause__).__name__ == error
+        with pytest.raises(ValueError, match=pattern):
+            eval_brute(weight, 3)
 
     def test_float_values_rejected(self):
         weight = HookWeight("1/h", lambda h: 1 / h)
@@ -153,6 +184,33 @@ class TestEvalRecurrence:
         assert len(table) == 7
         assert [table.value(n) for n in range(8)] == [Fraction(1, factorial(n)) for n in range(8)]
 
+    def test_failed_entry_leaves_table_intact(self):
+        # The weight raises on its first call at h = 5 only; HookWeight
+        # memoizes successes, so a retry calls it again.
+        failures = []
+
+        def flaky(h):
+            if h == 5 and not failures:
+                failures.append(h)
+                raise ZeroDivisionError("flaky")
+            return Fraction(1, h * 2 ** (h - 1))
+
+        table = SumTable(HookWeight("flaky", flaky))
+        assert table.value(4) == Fraction(1, 24)
+        with pytest.raises(ValueError, match="hook length 5"):
+            table.value(8)
+        assert len(table) == 5
+        assert table.value(8) == Fraction(1, factorial(8))
+        assert [table.value(n) for n in range(9)] == [Fraction(1, factorial(n)) for n in range(9)]
+
+    def test_failed_entry_raises_again(self):
+        table = SumTable(HookWeight("bad", lambda h: Fraction(1, h - 2)))
+        assert table.value(1) == -1
+        for _ in range(2):
+            with pytest.raises(ValueError, match="'bad' raised ZeroDivisionError"):
+                table.value(3)
+            assert len(table) == 2
+
     def test_foreign_table_rejected(self):
         with pytest.raises(ValueError):
             eval_recurrence(HAN4.weight, 3, SumTable(HAN5.weight))
@@ -160,6 +218,85 @@ class TestEvalRecurrence:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             eval_recurrence(HAN4.weight, -2)
+
+
+class TestIntegerRecurrence:
+    """SumTable's integer convolution against the Fraction loop it replaced."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name):
+        weight = get_identity(name).weight
+        table = SumTable(weight)
+        assert [table.value(n) for n in range(201)] == fraction_sum_table(weight, 200)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_weights(self, seed):
+        weight = random_hook_weight(seed, max_h=120)
+        table = SumTable(weight)
+        assert [table.value(n) for n in range(121)] == fraction_sum_table(weight, 120)
+
+    def test_signed_weight_with_zeros(self):
+        weight = signed_weight()
+        expected = fraction_sum_table(weight, 200)
+        assert any(value == 0 for value in expected) and any(value < 0 for value in expected)
+        table = SumTable(weight)
+        assert [table.value(n) for n in range(201)] == expected
+
+    def test_threads_share_one_table(self):
+        # A rescale rewrites every stored numerator; four threads filling
+        # one table with frequent switches must still agree with the oracle.
+        weight = signed_weight()
+        expected = fraction_sum_table(weight, 120)
+        targets = [range(0, 121, step) for step in (1, 3, 7, 11)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                table = SumTable(weight)
+                threads = [
+                    threading.Thread(target=lambda ns: [table.value(n) for n in ns], args=(ns,))
+                    for ns in targets
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert len(table) == 121
+                assert [table.value(n) for n in range(121)] == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_out_of_order_queries(self):
+        weight = signed_weight()
+        expected = fraction_sum_table(weight, 120)
+        table = SumTable(weight)
+        assert table.value(50) == expected[50]
+        assert table.value(10) == expected[10]
+        assert len(table) == 51
+        assert table.value(120) == expected[120]
+        assert [table.value(n) for n in range(121)] == expected
+
+
+class TestInductionStep:
+    """The built-ins from their closed forms alone, by Han's expansion step.
+
+    With f(n) = rhs(n) / prefactor(n), the identity holds for every n iff
+    f(0) = 1 and w(n) = f(n) / sum_k f(k) * f(n-1-k).  Neither evaluation
+    route is involved.
+    """
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_weight_recovered_from_closed_form(self, name):
+        identity = get_identity(name)
+        f = [identity.rhs(n) / identity.prefactor(n) for n in range(151)]
+        assert f[0] == 1
+        for n in range(1, 151):
+            split = sum(f[k] * f[n - 1 - k] for k in range(n))
+            assert identity.weight(n) == f[n] / split
+            if name == "han5":
+                # (2n)! * split = sum_k C(2n, 2k+1)
+                assert factorial(2 * n) * split == odd_binomial_sum(n)
 
 
 class TestOracleEquivalence:
@@ -247,8 +384,9 @@ class TestVerify:
         report = verify("han4", 2, 2, "both")
         assert not report.all_passed
         record = report.records[0]
-        assert record.lhs == 7
-        assert record.rhs == Fraction(1, 2)
+        assert record.lhs == record.rhs == Fraction(1, 2)
+        assert record.brute == 7
+        assert record.recurrence == Fraction(1, 2)
 
     def test_brute_cap_respected(self):
         with pytest.raises(ValueError, match="brute-force cap"):
@@ -288,6 +426,21 @@ class TestReportSerialization:
         )
         record = verify(broken, 2, 2, "recurrence").records[0]
         assert record.tsv_line() == "broken\t2\trecurrence\tFAIL\t1/2\t-5/3"
+
+    def test_route_disagreement_names_the_routes(self, monkeypatch):
+        monkeypatch.setattr(identities, "eval_brute", lambda w, n, cap=None: Fraction(1, 3))
+        record = next(identities.iter_verify("postnikov", 3, 3, "both"))
+        assert record.tsv_line() == "postnikov\t3\tboth\tFAIL\t16/1\t16/1\t1/3\t64/3"
+        assert record.row() == {
+            "identity": "postnikov",
+            "n": 3,
+            "mode": "both",
+            "status": "FAIL",
+            "lhs": "16/1",
+            "rhs": "16/1",
+            "brute": "1/3",
+            "recurrence": "64/3",
+        }
 
     def test_json_record_keys(self):
         record = verify("han5", 2, 2, "both").records[0]
