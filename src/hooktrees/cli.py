@@ -2,14 +2,18 @@
 
 Exit codes are stable across subcommands: 0 when every check passed, 1 when
 a verification failed, 2 for usage or precondition errors (unknown names,
-exceeded caps, malformed codes).  Handlers let the library's ValueErrors
-propagate; ``main`` maps every one of them to exit 2 with a one-line message.
+exceeded caps, malformed codes), and 141 (128 + SIGPIPE, as a shell reports
+for ``yes | head -1``) when the reader closes stdout early.  Handlers let the
+library's ValueErrors propagate; ``main`` maps every one of them to exit 2
+with a one-line message, and a closed pipe, even after such a message, to
+exit 141 with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import identities, labelings, trees
@@ -17,6 +21,7 @@ from . import identities, labelings, trees
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141
 
 
 def _usage_error(message: str) -> int:
@@ -147,10 +152,18 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
-        return args.handler(args)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.handler(args)
+        except ValueError as exc:
+            code = _usage_error(str(exc))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

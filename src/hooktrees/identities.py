@@ -144,9 +144,11 @@ def eval_brute(weight: HookWeight, n: int, *, cap: Optional[int] = DEFAULT_BRUTE
     """S(n) by full enumeration: sum over the hook multisets of n-vertex
     trees, found by traversal, of tree count times product of weights.
 
-    Independent of the recurrence path by construction.  For n = 0 the sum
-    has one term, the empty product over the empty tree, so the result is 1.
-    Pass ``cap=None`` to lift the size guard.
+    Independent of the recurrence path by construction.  The census is
+    built on the first call at n and reused read-only by later calls, so
+    a new weight costs only the reduction over its keys.  For n = 0 the
+    sum has one term, the empty product over the empty tree, so the result
+    is 1.  Pass ``cap=None`` to lift the size guard.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -6,7 +6,8 @@ position, then the right's.  This mirrors the root split used by the
 convolution recurrence, so enumeration, ranking and recurrence evaluation
 all share one decomposition.  ``rank`` and ``unrank`` address positions in
 this order using Catalan prefix counts only; the enumeration is never
-materialized.
+materialized.  ``iter_trees`` keeps its pools of smaller trees for one
+call; the only memo is ``hook_histogram``, the per-n hook census.
 
 The codec emits one '1' per vertex in preorder and one '0' per absent
 child, recursing left then right; the final '0' is forced and dropped,
@@ -26,7 +27,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -113,35 +115,32 @@ def hook_lengths(t: Tree) -> tuple[int, ...]:
     return tuple(sorted(subtree_sizes(t)))
 
 
-@lru_cache(maxsize=None)
-def _tree_table(n: int) -> tuple[Tree, ...]:
-    # Shared pool of every tree with n vertices, in canonical order.  Pools
-    # nest through iter_trees; sharing subtrees is safe because nodes are
-    # immutable.
-    return tuple(iter_trees(n))
-
-
 def iter_trees(n: int) -> Iterator[Tree]:
     """Yield every binary tree with n vertices exactly once, in canonical order.
 
-    The top level is streamed; pools for sizes below n are built once and
-    cached for reuse, so repeated enumeration costs one new root node per
-    yielded tree.
+    Pools of every smaller size are built for this call, sharing subtrees
+    (nodes are immutable), and freed when it ends; the top level is
+    streamed, so each yielded tree costs one new root node.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield None
-        return
-    for k in range(n):
-        for left in _tree_table(k):
-            for right in _tree_table(n - 1 - k):
-                yield Node(left, right)
+    pools: list[Iterable[Tree]] = [[None]]  # pools[m]: the m-vertex trees in order
+    for m in range(1, n + 1):
+        level = (Node(left, right)
+                 for k in range(m) for left in pools[k] for right in pools[m - 1 - k])
+        pools.append(level if m == n else list(level))
+    yield from pools[n]
 
 
-def hook_histogram(n: int) -> Counter[tuple[int, ...]]:
-    """Count of n-vertex trees per sorted hook multiset, by traversal alone; {(): 1} at n = 0."""
-    return Counter(tuple(sorted(subtree_sizes(t))) for t in iter_trees(n))
+@lru_cache(maxsize=None)
+def hook_histogram(n: int) -> Mapping[tuple[int, ...], int]:
+    """Read-only count of n-vertex trees per sorted hook multiset; {(): 1} at n = 0.
+
+    Found by enumeration and traversal alone on the first call at n, then
+    cached for the process and shared by every caller.  It holds counts
+    only, never weights or sums.
+    """
+    return MappingProxyType(Counter(tuple(sorted(subtree_sizes(t))) for t in iter_trees(n)))
 
 
 def encode(t: Tree) -> str:

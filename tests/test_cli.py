@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
@@ -9,6 +11,8 @@ import pytest
 
 from hooktrees import catalan, identities
 from hooktrees.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -306,3 +310,41 @@ class TestConfig:
         first = run(capsys, "verify", "postnikov", "1", "6", "both")
         second = run(capsys, "verify", "postnikov", "1", "6", "both")
         assert first == second
+
+
+def spawn(*argv):
+    # A real process with block-buffered stdout, so that output still held
+    # in the buffer meets the closed pipe only when it is flushed.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "hooktrees", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+class TestClosedPipe:
+    # 128 + SIGPIPE, the status a shell reports for `yes | head -1`.
+    def test_reader_closes_after_one_line(self):
+        proc = spawn("enumerate", "12")
+        assert proc.stdout.readline() == b"10" * 12 + b"\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141
+
+    def test_reader_closes_before_any_output(self):
+        proc = spawn("verify", "han4", "1", "3", "both")
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141
+
+    def test_usage_error_after_output_keeps_its_message(self):
+        # Four records wait in the buffer when the cap refuses n = 5.
+        proc = spawn("--brute-cap", "4", "verify", "han4", "1", "6", "both")
+        proc.stdout.close()
+        assert proc.stderr.read() == (
+            b"error: n=5 exceeds the brute-force cap 4; pass a larger cap to override\n"
+        )
+        assert proc.wait(timeout=60) == 141

@@ -21,8 +21,9 @@ from hooktrees import (
     odd_binomial_sum,
     random_hook_weight,
     verify,
+    verify_eq2,
 )
-from hooktrees import identities
+from hooktrees import identities, trees
 
 
 def naive_sum(weight, n):
@@ -139,6 +140,44 @@ class TestEvalBrute:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             eval_brute(HAN4.weight, -1)
+
+    def test_census_built_once_per_n(self, monkeypatch):
+        eval_brute(random_hook_weight(1, max_h=8), 8)
+        calls = []
+
+        def counting_iter_trees(n):
+            calls.append(n)
+            return iter_trees(n)
+
+        monkeypatch.setattr(trees, "iter_trees", counting_iter_trees)
+        weight = random_hook_weight(2, max_h=8)
+        assert eval_brute(weight, 8) == eval_recurrence(weight, 8)
+        assert verify_eq2(8)
+        assert calls == []
+
+    def test_shared_between_threads(self):
+        # Four threads with their own weights start on a cold census at once.
+        trees.hook_histogram.cache_clear()
+        barrier = threading.Barrier(4, timeout=30)
+        agreed = {}
+
+        def check(seed):
+            weight = random_hook_weight(seed, max_h=10)
+            barrier.wait()
+            agreed[seed] = eval_brute(weight, 10) == eval_recurrence(weight, 10)
+
+        threads = [threading.Thread(target=check, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert agreed == {seed: True for seed in range(4)}
 
 
 class TestEvalRecurrence:

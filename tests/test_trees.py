@@ -123,6 +123,22 @@ class TestHookLengths:
         assert census == {(1, 2, 3): 4, (1, 1, 3): 1}
 
 
+def convolution_census(n_max):
+    # The root split on hook multisets: an m-vertex tree with subtrees of
+    # multisets A and B has multiset sort(A + B) + (m,), so
+    # cnt_m(sort(A + B) + (m,)) += cnt_k(A) * cnt_{m-1-k}(B).  Key-by-key
+    # oracle for the traversal census; it stays out of the brute route.
+    census = [{(): 1}]
+    for m in range(1, n_max + 1):
+        level = Counter()
+        for k in range(m):
+            for a, count_a in census[k].items():
+                for b, count_b in census[m - 1 - k].items():
+                    level[tuple(sorted(a + b)) + (m,)] += count_a * count_b
+        census.append(dict(level))
+    return census
+
+
 class TestHookHistogram:
     @pytest.mark.parametrize("n", range(13))
     def test_census_invariants(self, n):
@@ -139,6 +155,16 @@ class TestHookHistogram:
 
     def test_distinct_multisets(self):
         assert [len(hook_histogram(n)) for n in (8, 10, 12)] == [45, 194, 863]
+
+    def test_matches_convolution_key_by_key(self):
+        for n, expected in enumerate(convolution_census(12)):
+            assert dict(hook_histogram(n)) == expected
+
+    def test_cached_and_read_only(self):
+        histogram = hook_histogram(6)
+        assert hook_histogram(6) is histogram
+        with pytest.raises(TypeError):
+            histogram[(1, 2, 3, 4, 5, 6)] = 1
 
 
 class TestEnumeration:
