@@ -4,8 +4,8 @@ For a weight w mapping hook lengths to rationals, the statistic of interest
 is S(n) = sum over all n-vertex binary trees of prod over vertices of
 w(h_v).  The module evaluates S(n) two independent ways:
 
-* brute force: enumerate every tree, count trees per hook multiset found by
-  traversal, and sum count times product of weights (``eval_brute``);
+* brute force: count trees per hook tuple (a tree's is its subtrees' tuples
+  plus its size) and sum count times product of weights (``eval_brute``);
 * the root-split convolution S(n) = w(n) * sum_k S(k) * S(n-1-k) with
   S(0) = 1, filled bottom-up (``eval_recurrence``).  It convolves integer
   numerators over one common denominator and sums each mirrored pair of
@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .trees import catalan, hook_histogram
 
-DEFAULT_BRUTE_CAP = 14  # catalan(14) = 2,674,440 trees: desk-scale seconds
+DEFAULT_BRUTE_CAP = 14  # catalan(14) = 2,674,440 hook tuples, one per tree: seconds
 
 MODES = ("brute", "recurrence", "both")
 
@@ -142,13 +142,13 @@ class SumTable:
 
 def eval_brute(weight: HookWeight, n: int, *, cap: Optional[int] = DEFAULT_BRUTE_CAP) -> Fraction:
     """S(n) by full enumeration: sum over the hook multisets of n-vertex
-    trees, found by traversal, of tree count times product of weights.
+    trees of tree count times product of weights.  Each tree is visited
+    once as one hook tuple, built from its subtrees' tuples plus its size.
 
     Independent of the recurrence path by construction.  The census is
     built on the first call at n and reused read-only by later calls, so
-    a new weight costs only the reduction over its keys.  For n = 0 the
-    sum has one term, the empty product over the empty tree, so the result
-    is 1.  Pass ``cap=None`` to lift the size guard.
+    a new weight costs only the reduction over its keys.  At n = 0 the
+    sum is the empty product, 1.  Pass ``cap=None`` to lift the size guard.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

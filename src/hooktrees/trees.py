@@ -7,7 +7,8 @@ convolution recurrence, so enumeration, ranking and recurrence evaluation
 all share one decomposition.  ``rank`` and ``unrank`` address positions in
 this order using Catalan prefix counts only; the enumeration is never
 materialized.  ``iter_trees`` keeps its pools of smaller trees for one
-call; the only memo is ``hook_histogram``, the per-n hook census.
+call; the only memo is ``hook_histogram``, the per-n hook census, which
+builds one hook tuple per tree, from its subtrees' tuples plus its size.
 
 The codec emits one '1' per vertex in preorder and one '0' per absent
 child, recursing left then right; the final '0' is forced and dropped,
@@ -136,11 +137,20 @@ def iter_trees(n: int) -> Iterator[Tree]:
 def hook_histogram(n: int) -> Mapping[tuple[int, ...], int]:
     """Read-only count of n-vertex trees per sorted hook multiset; {(): 1} at n = 0.
 
-    Found by enumeration and traversal alone on the first call at n, then
-    cached for the process and shared by every caller.  It holds counts
-    only, never weights or sums.
+    Built on the first call at n, then cached and shared read-only.  One
+    hook tuple per tree, from its subtrees' tuples plus its own size: the
+    tree (L, R) of size m has sorted(hooks(L) + hooks(R)) + (m,).  No
+    ``Node`` is built, and no weight, sum or product of counts is used.
     """
-    return MappingProxyType(Counter(tuple(sorted(subtree_sizes(t))) for t in iter_trees(n)))
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    pools: list[Iterable[tuple[int, ...]]] = [[()]]  # pools[m]: one hook tuple per m-vertex tree
+    for m in range(1, n + 1):
+        level = (tuple(sorted(left + right)) + (m,)
+                 for k in range(m) for left in pools[k] for right in pools[m - 1 - k])
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal tuples share one object
+        pools.append(level if m == n else [shared.setdefault(h, h) for h in level])
+    return MappingProxyType(Counter(pools[n]))
 
 
 def encode(t: Tree) -> str:

@@ -141,19 +141,13 @@ class TestEvalBrute:
         with pytest.raises(ValueError):
             eval_brute(HAN4.weight, -1)
 
-    def test_census_built_once_per_n(self, monkeypatch):
+    def test_census_built_once_per_n(self):
         eval_brute(random_hook_weight(1, max_h=8), 8)
-        calls = []
-
-        def counting_iter_trees(n):
-            calls.append(n)
-            return iter_trees(n)
-
-        monkeypatch.setattr(trees, "iter_trees", counting_iter_trees)
+        builds = trees.hook_histogram.cache_info().misses
         weight = random_hook_weight(2, max_h=8)
         assert eval_brute(weight, 8) == eval_recurrence(weight, 8)
         assert verify_eq2(8)
-        assert calls == []
+        assert trees.hook_histogram.cache_info().misses == builds
 
     def test_shared_between_threads(self):
         # Four threads with their own weights start on a cold census at once.

@@ -127,7 +127,7 @@ def convolution_census(n_max):
     # The root split on hook multisets: an m-vertex tree with subtrees of
     # multisets A and B has multiset sort(A + B) + (m,), so
     # cnt_m(sort(A + B) + (m,)) += cnt_k(A) * cnt_{m-1-k}(B).  Key-by-key
-    # oracle for the traversal census; it stays out of the brute route.
+    # oracle for the hook-tuple census; it stays out of the brute route.
     census = [{(): 1}]
     for m in range(1, n_max + 1):
         level = Counter()
@@ -148,10 +148,15 @@ class TestHookHistogram:
         # the n! permutations.
         assert sum(c * (factorial(n) // prod(h)) for h, c in histogram.items()) == factorial(n)
         if n >= 1:
-            assert set(histogram) == {hook_lengths(t) for t in iter_trees(n)}
+            # The Node traversal is the oracle for the hook-tuple census.
+            assert dict(histogram) == Counter(hook_lengths(t) for t in iter_trees(n))
 
     def test_empty_tree(self):
         assert hook_histogram(0) == {(): 1}
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            hook_histogram(-1)
 
     def test_distinct_multisets(self):
         assert [len(hook_histogram(n)) for n in (8, 10, 12)] == [45, 194, 863]
