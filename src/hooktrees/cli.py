@@ -162,7 +162,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader is gone; point stdout at devnull so that the flush at
         # interpreter exit does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_PIPE
     finally:
         if limit is not None:

@@ -14,12 +14,12 @@ The codec emits one '1' per vertex in preorder and one '0' per absent
 child, recursing left then right; the final '0' is forced and dropped,
 giving exactly 2n bits with the ballot property (every prefix has at least
 as many ones as zeros).  The single vertex encodes as "10", the empty tree
-as "".  ``decode`` reads the code backwards, where it is a postfix word,
-with one stack of finished subtrees.
+as "".  Read backwards, the code is a postfix word: one scan with one
+stack of finished subtrees is the only reader of the format, and
+``decode``, ``subtree_sizes`` and ``rank`` are folds over it.
 
 Traversals use explicit stacks throughout: tree shapes can be chains, and
-call-stack recursion would cap the usable size.  Bottom-up quantities
-(subtree sizes, ranks) come from one pass over the reversed preorder.
+call-stack recursion would cap the usable size.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -38,8 +40,8 @@ class Node:
 
     The empty tree is represented by ``None``, so ``Node()`` is the single
     isolated vertex.  Instances are immutable, safe to share between trees
-    and concurrent workers, and compare and hash by their code, so deep
-    trees compare without recursion.
+    and concurrent workers, and compare, hash and pickle by their code,
+    without recursion at any depth.
     """
 
     left: Optional["Node"] = None
@@ -53,6 +55,9 @@ class Node:
 
     def __repr__(self) -> str:
         return f"<tree {encode(self)}>"
+
+    def __reduce__(self):
+        return decode, (encode(self),)
 
 
 Tree = Optional[Node]
@@ -68,21 +73,7 @@ def catalan(n: int) -> int:
 
 def size(t: Tree) -> int:
     """Vertex count; the empty tree has size 0."""
-    return len(_preorder(t))
-
-
-def _preorder(t: Tree) -> list[Node]:
-    # Root first, then the right branch, then the left.  Shared subtrees
-    # appear once per occurrence.
-    order: list[Node] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node is not None:
-            order.append(node)
-            stack.append(node.left)
-            stack.append(node.right)
-    return order
+    return len(encode(t)) // 2
 
 
 def subtree_sizes(t: Tree) -> list[int]:
@@ -90,17 +81,13 @@ def subtree_sizes(t: Tree) -> list[int]:
 
     These are exactly the hook lengths, in no particular order.
     """
-    order = _preorder(t)
-    sizes: dict[int, int] = {}
     out: list[int] = []
-    for node in reversed(order):
-        s = 1
-        if node.left is not None:
-            s += sizes[id(node.left)]
-        if node.right is not None:
-            s += sizes[id(node.right)]
-        sizes[id(node)] = s
-        out.append(s)
+
+    def join(left: int, right: int) -> int:
+        out.append(left + right + 1)
+        return out[-1]
+
+    _postfix(encode(t), 0, join)
     return out
 
 
@@ -169,6 +156,26 @@ def encode(t: Tree) -> str:
     return "".join(bits)
 
 
+def _postfix(code: str, empty: T, join: Callable[[T, T], T]) -> T:
+    # Fold a code bottom-up: ``empty`` stands for each absent child and
+    # ``join(left, right)`` for each vertex.  Validates as ``decode`` says.
+    if set(code) - {"0", "1"}:
+        raise ValueError("tree code must consist of '0' and '1' only")
+    # Read backwards, the full preorder word is postfix: a '0' pushes
+    # ``empty``, a '1' joins the left (top) and right values below it.
+    stack: list[T] = []
+    for bit in reversed(code + "0"):  # restore the dropped final 0
+        if bit == "0":
+            stack.append(empty)
+        elif len(stack) < 2:
+            raise ValueError("invalid tree code: ballot property violated")
+        else:
+            stack.append(join(stack.pop(), stack.pop()))
+    if len(stack) != 1:
+        raise ValueError("invalid tree code: ballot property violated")
+    return stack[0]
+
+
 def decode(code: str) -> Tree:
     """Rebuild the tree from its canonical code.
 
@@ -176,21 +183,7 @@ def decode(code: str) -> Tree:
     than '0'/'1', or a violation of the ballot property (some prefix with
     more zeros than ones, or unbalanced totals).
     """
-    if set(code) - {"0", "1"}:
-        raise ValueError("tree code must consist of '0' and '1' only")
-    # Read backwards, the full preorder word is postfix: a '0' pushes the
-    # empty tree, a '1' joins the left (top) and right subtrees below it.
-    stack: list[Tree] = []
-    for bit in reversed(code + "0"):  # restore the dropped final 0
-        if bit == "0":
-            stack.append(None)
-        elif len(stack) < 2:
-            raise ValueError("invalid tree code: ballot property violated")
-        else:
-            stack.append(Node(stack.pop(), stack.pop()))
-    if len(stack) != 1:
-        raise ValueError("invalid tree code: ballot property violated")
-    return stack[0]
+    return _postfix(code, None, Node)
 
 
 def _left_block_offset(n: int, k: int) -> int:
@@ -203,17 +196,14 @@ def _left_block_offset(n: int, k: int) -> int:
 
 def rank(t: Tree) -> int:
     """Position of the tree in the canonical order of its size class."""
-    # One bottom-up pass: a vertex of size n with a left subtree of size k
-    # has rank offset(n, k) + rank(left) * C(n-1-k) + rank(right).
-    # (size, rank) is keyed by id(node), so shared subtrees agree; the
-    # entry for None stands for every absent child.
-    done: dict[int, tuple[int, int]] = {id(None): (0, 0)}
-    for node in reversed(_preorder(t)):
-        k, left = done[id(node.left)]
-        m, right = done[id(node.right)]
+    # Bottom-up over (size, rank): a vertex of size n with a left subtree
+    # of size k has rank offset(n, k) + rank(left) * C(n-1-k) + rank(right).
+    def join(left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int]:
+        (k, i), (m, j) = left, right
         n = k + m + 1
-        done[id(node)] = (n, _left_block_offset(n, k) + left * catalan(m) + right)
-    return done[id(t)][1]
+        return n, _left_block_offset(n, k) + i * catalan(m) + j
+
+    return _postfix(encode(t), (0, 0), join)[1]
 
 
 def unrank(n: int, i: int) -> Tree:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -312,39 +313,68 @@ class TestConfig:
         assert first == second
 
 
-def spawn(*argv):
-    # A real process with block-buffered stdout, so that output still held
-    # in the buffer meets the closed pipe only when it is flushed.
+def child_env():
+    # Block-buffered stdout, so that output still held in the buffer meets
+    # the closed pipe only when it is flushed.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def spawn(*argv):
     return subprocess.Popen(
         [sys.executable, "-m", "hooktrees", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(),
     )
 
 
 class TestClosedPipe:
     # 128 + SIGPIPE, the status a shell reports for `yes | head -1`.
     def test_reader_closes_after_one_line(self):
-        proc = spawn("enumerate", "12")
-        assert proc.stdout.readline() == b"10" * 12 + b"\n"
-        proc.stdout.close()
-        assert proc.stderr.read() == b""
-        assert proc.wait(timeout=60) == 141
+        with spawn("enumerate", "12") as proc:
+            assert proc.stdout.readline() == b"10" * 12 + b"\n"
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == 141
 
     def test_reader_closes_before_any_output(self):
-        proc = spawn("verify", "han4", "1", "3", "both")
-        proc.stdout.close()
-        assert proc.stderr.read() == b""
-        assert proc.wait(timeout=60) == 141
+        with spawn("verify", "han4", "1", "3", "both") as proc:
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == 141
 
     def test_usage_error_after_output_keeps_its_message(self):
         # Four records wait in the buffer when the cap refuses n = 5.
-        proc = spawn("--brute-cap", "4", "verify", "han4", "1", "6", "both")
-        proc.stdout.close()
-        assert proc.stderr.read() == (
-            b"error: n=5 exceeds the brute-force cap 4; pass a larger cap to override\n"
-        )
-        assert proc.wait(timeout=60) == 141
+        with spawn("--brute-cap", "4", "verify", "han4", "1", "6", "both") as proc:
+            proc.stdout.close()
+            assert proc.stderr.read() == (
+                b"error: n=5 exceeds the brute-force cap 4; pass a larger cap to override\n"
+            )
+            assert proc.wait(timeout=60) == 141
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_pipe_exit_leaks_no_descriptor(self):
+        # Two in-process calls, each into a pipe whose reader is gone.
+        script = textwrap.dedent("""
+            import json, os, sys
+            from hooktrees.cli import main
+
+            def into_closed_pipe():
+                read, write = os.pipe()
+                os.close(read)
+                os.dup2(write, sys.stdout.fileno())
+                os.close(write)
+                return main(["enumerate", "6"])
+
+            before = len(os.listdir("/proc/self/fd"))
+            codes = [into_closed_pipe() for _ in range(2)]
+            after = len(os.listdir("/proc/self/fd"))
+            print(json.dumps([codes, before, after]), file=sys.stderr)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=child_env(), timeout=60)
+        codes, before, after = json.loads(proc.stderr)
+        assert codes == [141, 141]
+        assert after == before

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 from collections import Counter, deque
 from math import comb, factorial, prod
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from hooktrees import (
     Node,
+    bst_shape,
     catalan,
     decode,
     encode,
@@ -65,6 +68,42 @@ def depth_sum(t):
         queue.append((node.left, depth + 1))
         queue.append((node.right, depth + 1))
     return total
+
+
+def preorder_oracle(t):
+    # Root first, then the right branch, then the left.  Shared subtrees
+    # appear once per occurrence.
+    order = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            order.append(node)
+            stack.append(node.left)
+            stack.append(node.right)
+    return order
+
+
+def subtree_sizes_oracle(t):
+    # An id()-keyed pass over the reversed preorder; it never reads the code.
+    sizes = {id(None): 0}
+    out = []
+    for node in reversed(preorder_oracle(t)):
+        sizes[id(node)] = sizes[id(node.left)] + sizes[id(node.right)] + 1
+        out.append(sizes[id(node)])
+    return out
+
+
+def rank_oracle(t):
+    # (size, rank) per node, keyed by id(node); None stands for every
+    # absent child.
+    done = {id(None): (0, 0)}
+    for node in reversed(preorder_oracle(t)):
+        k, left = done[id(node.left)]
+        m, right = done[id(node.right)]
+        n = k + m + 1
+        done[id(node)] = (n, _left_block_offset(n, k) + left * catalan(m) + right)
+    return done[id(t)][1]
 
 
 class TestCatalan:
@@ -307,6 +346,42 @@ class TestRankUnrank:
         assert size(tree) == 5000
         assert encode(tree) == code
         assert max(subtree_sizes(tree)) == 5000
+
+
+SHARED_CHILD = Node()
+
+ORACLE_TREES = [
+    Node(SHARED_CHILD, SHARED_CHILD),  # both children are one object
+    decode("1" * 3000 + "0" * 3000),
+    decode("10" * 3000),
+    bst_shape(random.Random(3000).sample(range(3000), 3000)),
+]
+
+
+def assert_matches_preorder_oracle(tree):
+    assert sorted(subtree_sizes(tree)) == sorted(subtree_sizes_oracle(tree))
+    assert rank(tree) == rank_oracle(tree)
+    assert size(tree) == len(preorder_oracle(tree))
+
+
+class TestFoldsMatchPreorderOracle:
+    # subtree_sizes, rank and size fold over the code; the id()-keyed
+    # preorder passes are the oracle.
+    @pytest.mark.parametrize("n", range(10))
+    def test_every_tree_up_to_nine(self, n):
+        for tree in iter_trees(n):
+            assert_matches_preorder_oracle(tree)
+
+    @pytest.mark.parametrize("tree", ORACLE_TREES, ids=["shared", "left3000", "right3000", "bst3000"])
+    def test_shared_deep_and_random(self, tree):
+        assert_matches_preorder_oracle(tree)
+
+
+class TestPickle:
+    def test_deep_chain_round_trips(self):
+        tree = decode("1" * 3000 + "0" * 3000)
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        assert copy.deepcopy(tree) == tree
 
 
 class TestImmutability:
