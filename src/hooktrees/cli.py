@@ -169,7 +169,3 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

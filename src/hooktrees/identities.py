@@ -150,8 +150,6 @@ def eval_brute(weight: HookWeight, n: int, *, cap: Optional[int] = DEFAULT_BRUTE
     a new weight costs only the reduction over its keys.  At n = 0 the
     sum is the empty product, 1.  Pass ``cap=None`` to lift the size guard.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if cap is not None and n > cap:
         raise ValueError(f"n={n} exceeds the brute-force cap {cap}; pass a larger cap to override")
     return sum(

@@ -3,6 +3,8 @@
 A labeling of an n-vertex tree with 1..n is increasing when every vertex
 carries a smaller label than all of its descendants.  The count per tree is
 n! divided by the product of the hook lengths, always an exact integer.
+Its oracle counts the same labelings from parent links alone, as the ways
+to grow the tree from its root one vertex at a time.
 Summed over all shapes of one size these counts partition the n!
 permutations: bucketing permutations by the shape of the binary search tree
 they build recovers exactly the labeling count of each shape.
@@ -13,10 +15,10 @@ from __future__ import annotations
 from collections import Counter
 from itertools import permutations
 from math import factorial, prod
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .identities import DEFAULT_BRUTE_CAP, iter_verify
-from .trees import Node, Tree, encode, subtree_sizes
+from .trees import Node, Tree, _postfix, encode, subtree_sizes
 
 DEFAULT_LABELING_CAP = 10
 DEFAULT_FIBER_CAP = 8  # 8! = 40320 permutations
@@ -33,45 +35,41 @@ def increasing_labelings_count(t: Tree) -> int:
     return count
 
 
-def _parent_child_pairs(t: Node) -> tuple[list[tuple[int, int]], int]:
-    # Vertices are numbered in preorder; returns the (parent, child) index
-    # pairs and the vertex count.
-    pairs: list[tuple[int, int]] = []
-    stack: list[tuple[Tree, int]] = [(t, -1)]
-    counter = 0
-    while stack:
-        node, parent = stack.pop()
-        if node is None:
-            continue
-        index = counter
-        counter += 1
-        if parent >= 0:
-            pairs.append((parent, index))
-        stack.append((node.right, index))
-        stack.append((node.left, index))
-    return pairs, counter
-
-
 def increasing_labelings_brute(t: Tree, *, cap: int = DEFAULT_LABELING_CAP) -> int:
-    """Count increasing labelings by checking all n! label assignments.
+    """Count increasing labelings as ways to grow the tree from its root.
 
-    A labeling is increasing exactly when every parent's label is smaller
-    than both children's, so each assignment is checked pairwise.  Oracle
-    for :func:`increasing_labelings_count`; refuses trees larger than cap.
+    Labeling vertices 1..n in increasing order adds one vertex at a time
+    whose parent is already present, so the count is the number of ways to
+    reach the full vertex set through order ideals (vertex sets closed
+    under parents, kept as bit sets).  Uses parent links only, never hook
+    lengths: the oracle for :func:`increasing_labelings_count`.  Refuses
+    trees larger than cap.
     """
     if t is None:
         raise ValueError("the empty tree has no labelings")
-    pairs, n = _parent_child_pairs(t)
+    parent_bits: list[int] = []  # parent_bits[v]: bit of v's parent, 0 at the root
+
+    def join(left: Optional[int], right: Optional[int]) -> int:
+        vertex = len(parent_bits)
+        parent_bits.append(0)
+        for child in (left, right):
+            if child is not None:
+                parent_bits[child] = 1 << vertex
+        return vertex
+
+    _postfix(encode(t), None, join)
+    n = len(parent_bits)
     if n > cap:
         raise ValueError(f"tree size {n} exceeds the labeling cap {cap}")
-    count = 0
-    for labels in permutations(range(n)):
-        for parent, child in pairs:
-            if labels[parent] > labels[child]:
-                break
-        else:
-            count += 1
-    return count
+    counts = {0: 1}  # ideal -> ways to reach it, all ideals of one size
+    for _ in range(n):
+        grown: Counter[int] = Counter()
+        for ideal, count in counts.items():
+            for vertex, bit in enumerate(parent_bits):
+                if ideal & bit == bit and not ideal >> vertex & 1:
+                    grown[ideal | 1 << vertex] += count
+        counts = grown
+    return counts[(1 << n) - 1]
 
 
 def bst_shape(values: Sequence[int]) -> Tree:

@@ -16,7 +16,8 @@ giving exactly 2n bits with the ballot property (every prefix has at least
 as many ones as zeros).  The single vertex encodes as "10", the empty tree
 as "".  Read backwards, the code is a postfix word: one scan with one
 stack of finished subtrees is the only reader of the format, and
-``decode``, ``subtree_sizes`` and ``rank`` are folds over it.
+``decode``, ``subtree_sizes``, ``rank`` and the parent links of the
+labeling oracle are folds over it.
 
 Traversals use explicit stacks throughout: tree shapes can be chains, and
 call-stack recursion would cap the usable size.

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from hooktrees import catalan, identities
-from hooktrees.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
+from hooktrees.cli import EXIT_FAILED, EXIT_OK, EXIT_PIPE, EXIT_USAGE, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -20,6 +20,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out.splitlines(), captured.err
+
+
+@pytest.fixture
+def broken_han4(monkeypatch):
+    # han4 with rhs(n) = n: the identity holds at n = 1 only.
+    broken = identities.HookIdentity(
+        name="han4",
+        weight=identities.get_identity("han4").weight,
+        prefactor=lambda n: Fraction(1),
+        rhs=lambda n: Fraction(n),
+    )
+    monkeypatch.setitem(identities._BUILTINS, "han4", broken)
 
 
 class TestVerifyCommand:
@@ -46,14 +58,7 @@ class TestVerifyCommand:
         assert len(out) == 4  # n=1..4 streamed before the refusal
         assert "cap 4" in err
 
-    def test_verification_failure_exits_one(self, capsys, monkeypatch):
-        broken = identities.HookIdentity(
-            name="han4",
-            weight=identities.get_identity("han4").weight,
-            prefactor=lambda n: Fraction(1),
-            rhs=lambda n: Fraction(n),
-        )
-        monkeypatch.setitem(identities._BUILTINS, "han4", broken)
+    def test_verification_failure_exits_one(self, capsys, broken_han4):
         code, out, _ = run(capsys, "verify", "han4", "1", "3", "recurrence")
         assert code == EXIT_FAILED
         assert out[0] == "han4\t1\trecurrence\tPASS"
@@ -174,6 +179,11 @@ class TestTableCommand:
         code, out, _ = run(capsys, "table", "catalan", "5")
         assert code == EXIT_OK
         assert out[5] == "5\t42/1\t42/1\t42/1\tPASS"
+
+    def test_failure_exits_one(self, capsys, broken_han4):
+        code, out, _ = run(capsys, "table", "han4", "1")  # the last row passes
+        assert code == EXIT_FAILED
+        assert out == ["0\t1/1\t1/1\t0/1\tFAIL", "1\t1/1\t1/1\t1/1\tPASS"]
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "table", "postnikov", "3")
@@ -301,6 +311,22 @@ class TestConfig:
         code, out, _ = run(capsys, "--fiber-cap", "9", "fibers", "4")
         assert code == EXIT_OK
         assert out[-1] == "total\t24"
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["--brute-cap", "1", "verify", "han4", "1", "1", "both"], ["han4\t1\tboth\tPASS"]),
+            (["--brute-cap", "3", "enumerate", "3"], ["101010", "101100", "110010", "110100", "111000"]),
+            (["--fiber-cap", "1", "fibers", "1"], ["10\t1", "total\t1"]),
+        ],
+    )
+    def test_cap_allows_n_equal_to_cap(self, capsys, argv, expected):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out == expected
+
+    def test_exit_codes_are_the_documented_ones(self):
+        assert (EXIT_OK, EXIT_FAILED, EXIT_USAGE, EXIT_PIPE) == (0, 1, 2, 141)
 
     def test_bad_flag_value_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -67,6 +67,9 @@ class TestHookWeight:
         assert HAN5.weight(2) == Fraction(1, 40)
         assert get_identity("postnikov").weight(3) == Fraction(4, 3)
 
+    def test_repr_names_the_weight(self):
+        assert repr(HAN4.weight) == "HookWeight('1/(h*2^(h-1))')"
+
     def test_memoized_and_pure(self):
         calls = []
         weight = HookWeight("probe", lambda h: (calls.append(h), Fraction(1, h))[1])
@@ -76,6 +79,9 @@ class TestHookWeight:
     def test_nonpositive_hook_rejected(self):
         with pytest.raises(ValueError):
             HAN4.weight(0)
+        # A callable that accepts 0 must still be refused before it is called.
+        with pytest.raises(ValueError, match="positive integers"):
+            HookWeight("one", lambda h: 1)(0)
 
     def test_table_weight_bounds(self):
         weight = HookWeight.from_values("tiny", {1: Fraction(2, 3), 2: 1})
@@ -138,7 +144,7 @@ class TestEvalBrute:
         assert eval_brute(HAN4.weight, 4, cap=None) == Fraction(1, 24)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
             eval_brute(HAN4.weight, -1)
 
     def test_census_built_once_per_n(self):
@@ -251,6 +257,15 @@ class TestEvalRecurrence:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             eval_recurrence(HAN4.weight, -2)
+        # -1 would otherwise index the table's last entry.
+        table = SumTable(HAN4.weight)
+        table.value(3)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            table.value(-1)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            eval_recurrence(HAN4.weight, -1, table)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            eval_recurrence(HAN4.weight, -1)
 
 
 class TestIntegerRecurrence:
@@ -433,6 +448,23 @@ class TestVerify:
         with pytest.raises(ValueError, match="empty range"):
             verify("han4", 5, 1, "recurrence")
 
+    def test_table_passed_in_is_filled(self):
+        table = SumTable(HAN4.weight)
+        assert verify("han4", 1, 50, "recurrence", table=table).all_passed
+        assert len(table) == 51
+
+    def test_range_builds_one_table(self, monkeypatch):
+        built = []
+
+        class CountingTable(SumTable):
+            def __init__(self, weight):
+                built.append(weight)
+                super().__init__(weight)
+
+        monkeypatch.setattr(identities, "SumTable", CountingTable)
+        assert verify("han4", 1, 20, "recurrence").all_passed
+        assert built == [HAN4.weight]
+
     def test_memoization_transparent(self):
         table = SumTable(HAN5.weight)
         interleaved = [
@@ -524,6 +556,15 @@ class TestRandomWeight:
         first = random_hook_weight(11, max_h=9)
         second = random_hook_weight(11, max_h=9)
         assert [first(h) for h in range(1, 10)] == [second(h) for h in range(1, 10)]
+
+    def test_seed_zero_pinned(self):
+        # perfbench draws its weights from this function; pinning one seed
+        # keeps its op stream reproducible.
+        weight = random_hook_weight(0)
+        assert [weight(h) for h in (1, 2, 3)] == [1, Fraction(1, 5), Fraction(9, 8)]
+        assert weight(16) == Fraction(9, 8)
+        with pytest.raises(ValueError, match="has no value for hook length 17"):
+            weight(17)
 
     def test_values_in_small_range(self):
         weight = random_hook_weight(5, max_h=12)

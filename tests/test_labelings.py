@@ -7,6 +7,7 @@ from hooktrees import (
     Node,
     bst_shape,
     catalan,
+    decode,
     encode,
     increasing_labelings_brute,
     increasing_labelings_count,
@@ -29,6 +30,39 @@ def bst_shape_recursive(values):
     smaller = [v for v in rest if v < pivot]
     other = [v for v in rest if v >= pivot]
     return Node(bst_shape_recursive(smaller), bst_shape_recursive(other))
+
+
+def parent_child_pairs(t):
+    # Vertices are numbered in preorder; returns the (parent, child) index
+    # pairs and the vertex count.
+    pairs = []
+    stack = [(t, -1)]
+    counter = 0
+    while stack:
+        node, parent = stack.pop()
+        if node is None:
+            continue
+        index = counter
+        counter += 1
+        if parent >= 0:
+            pairs.append((parent, index))
+        stack.append((node.right, index))
+        stack.append((node.left, index))
+    return pairs, counter
+
+
+def labelings_scan(t):
+    # Reference: check all n! label assignments, parent below child on
+    # every edge.  The order-ideal count replaced this scan.
+    pairs, n = parent_child_pairs(t)
+    count = 0
+    for labels in permutations(range(n)):
+        for parent, child in pairs:
+            if labels[parent] > labels[child]:
+                break
+        else:
+            count += 1
+    return count
 
 
 class TestLabelingCount:
@@ -71,10 +105,24 @@ class TestLabelingBrute:
             increasing_labelings_brute(big, cap=5)
         assert increasing_labelings_brute(big, cap=7) == 80
 
+    def test_default_cap_is_ten(self):
+        assert increasing_labelings_brute(decode("10" * 10)) == 1
+        with pytest.raises(ValueError, match="labeling cap 10"):
+            increasing_labelings_brute(decode("10" * 11))
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_formula_matches_brute(self, n):
         for tree in iter_trees(n):
             assert increasing_labelings_count(tree) == increasing_labelings_brute(tree)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_permutation_scan(self, n):
+        for tree in iter_trees(n):
+            assert increasing_labelings_brute(tree) == labelings_scan(tree)
+
+    def test_past_the_scan(self):
+        tree = bst_shape((11, 3, 17, 1, 8, 14, 20, 5, 9, 13, 2, 19, 6, 15, 4, 10, 18, 7, 12, 16))
+        assert increasing_labelings_brute(tree, cap=20) == increasing_labelings_count(tree)
 
 
 class TestBstShape:
@@ -140,6 +188,7 @@ class TestFiberHistogram:
             shape_fiber_histogram(9)
         with pytest.raises(ValueError, match="fiber cap 3"):
             shape_fiber_histogram(4, cap=3)
+        assert sum(shape_fiber_histogram(4, cap=4).values()) == 24
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):

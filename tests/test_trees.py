@@ -119,7 +119,7 @@ class TestCatalan:
             assert catalan(n) == comb(2 * n, n) // (n + 1)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonnegative"):
             catalan(-1)
 
 
@@ -404,6 +404,10 @@ class TestNodeEquality:
     def test_other_types_differ(self):
         assert Node() != None  # noqa: E711
         assert Node() != "10"
+
+    def test_repr_is_the_code_at_any_depth(self):
+        assert repr(decode("110100")) == "<tree 110100>"
+        assert repr(decode("10" * 3000)) == f"<tree {'10' * 3000}>"
 
 
 @given(st.data())
