@@ -2,11 +2,12 @@
 
 Exit codes are stable across subcommands: 0 when every check passed, 1 when
 a verification failed, 2 for usage or precondition errors (unknown names,
-exceeded caps, malformed codes), and 141 (128 + SIGPIPE, as a shell reports
-for ``yes | head -1``) when the reader closes stdout early.  Handlers let the
-library's ValueErrors propagate; ``main`` maps every one of them to exit 2
-with a one-line message, and a closed pipe, even after such a message, to
-exit 141 with no traceback.
+exceeded caps, malformed codes), 130 (128 + SIGINT) on Ctrl-C, and 141
+(128 + SIGPIPE, as a shell reports for ``yes | head -1``) when the reader
+closes stdout early.  Handlers let the library's ValueErrors propagate;
+``main`` maps every one of them to exit 2 with a one-line message, Ctrl-C
+to exit 130 with one line, and a closed pipe, even after such a message,
+to exit 141; none of them prints a traceback.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import identities, labelings, trees
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPT = 130
 EXIT_PIPE = 141
 
 
@@ -166,6 +168,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

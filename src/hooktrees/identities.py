@@ -110,8 +110,7 @@ class SumTable:
         if n < 0:
             raise ValueError("n must be nonnegative")
         values = self._values
-        while len(values) <= n:
-            m = len(values)
+        while (m := len(values)) <= n:  # one read, so m never passes n
             # The weight may block, so it runs unlocked; another thread may
             # then have appended entry m already.
             w = self.weight(m)

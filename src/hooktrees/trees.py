@@ -6,16 +6,16 @@ position, then the right's.  This mirrors the root split used by the
 convolution recurrence, so enumeration, ranking and recurrence evaluation
 all share one decomposition.  ``rank`` and ``unrank`` address positions in
 this order using Catalan prefix counts only; the enumeration is never
-materialized.  ``iter_trees`` keeps its pools of smaller trees for one
-call; the only memo is ``hook_histogram``, the per-n hook census, which
-builds one hook tuple per tree, from its subtrees' tuples plus its size.
+materialized.  ``_grow`` is the one writer of the order: ``iter_trees``
+and the hook census are folds over its pools, which last one call.  The
+only memo is ``hook_histogram``.
 
 The codec emits one '1' per vertex in preorder and one '0' per absent
 child, recursing left then right; the final '0' is forced and dropped,
 giving exactly 2n bits with the ballot property (every prefix has at least
 as many ones as zeros).  The single vertex encodes as "10", the empty tree
-as "".  Read backwards, the code is a postfix word: one scan with one
-stack of finished subtrees is the only reader of the format, and
+as "".  Read backwards, the code is a postfix word: ``_postfix``, one scan
+with a stack of finished subtrees, is the one reader of the format, and
 ``decode``, ``subtree_sizes``, ``rank`` and the parent links of the
 labeling oracle are folds over it.
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
@@ -104,41 +105,46 @@ def hook_lengths(t: Tree) -> tuple[int, ...]:
     return tuple(sorted(subtree_sizes(t)))
 
 
+def _grow(n: int, empty: T, block: Callable[..., Iterable[T]]) -> Iterable[T]:
+    # The twin of ``_postfix``: one value per n-vertex tree, in canonical
+    # order.  ``block(lefts, rights, m)`` gives the values of the m-vertex
+    # trees with subtrees from those two pools, left outer, right inner;
+    # blocks run by left size, smallest first.  The top level is streamed.
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    pools: list[Iterable[T]] = [[empty]]  # pools[m]: one value per m-vertex tree, in order
+    for m in range(1, n + 1):
+        level = chain.from_iterable(block(pools[k], pools[m - 1 - k], m) for k in range(m))
+        pools.append(level if m == n else list(level))
+    return pools[n]
+
+
 def iter_trees(n: int) -> Iterator[Tree]:
     """Yield every binary tree with n vertices exactly once, in canonical order.
 
-    Pools of every smaller size are built for this call, sharing subtrees
-    (nodes are immutable), and freed when it ends; the top level is
-    streamed, so each yielded tree costs one new root node.
+    Smaller trees are pooled for this call and shared as subtrees (nodes
+    are immutable); the top level is streamed, one new root node per tree.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    pools: list[Iterable[Tree]] = [[None]]  # pools[m]: the m-vertex trees in order
-    for m in range(1, n + 1):
-        level = (Node(left, right)
-                 for k in range(m) for left in pools[k] for right in pools[m - 1 - k])
-        pools.append(level if m == n else list(level))
-    yield from pools[n]
+    yield from _grow(n, None, lambda lefts, rights, m: (
+        Node(left, right) for left in lefts for right in rights))
 
 
 @lru_cache(maxsize=None)
 def hook_histogram(n: int) -> Mapping[tuple[int, ...], int]:
     """Read-only count of n-vertex trees per sorted hook multiset; {(): 1} at n = 0.
 
-    Built on the first call at n, then cached and shared read-only.  One
-    hook tuple per tree, from its subtrees' tuples plus its own size: the
-    tree (L, R) of size m has sorted(hooks(L) + hooks(R)) + (m,).  No
-    ``Node`` is built, and no weight, sum or product of counts is used.
+    Built on the first call at n, then cached and shared read-only.  The
+    pool loop gives one hook tuple per tree, from its subtrees' tuples plus
+    its size: the tree (L, R) of size m has sorted(hooks(L) + hooks(R)) +
+    (m,).  No ``Node`` is built, and no weight, sum or product of counts.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    pools: list[Iterable[tuple[int, ...]]] = [[()]]  # pools[m]: one hook tuple per m-vertex tree
-    for m in range(1, n + 1):
-        level = (tuple(sorted(left + right)) + (m,)
-                 for k in range(m) for left in pools[k] for right in pools[m - 1 - k])
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal tuples share one object
-        pools.append(level if m == n else [shared.setdefault(h, h) for h in level])
-    return MappingProxyType(Counter(pools[n]))
+    intern = {}.setdefault  # equal pooled tuples share one object
+
+    def block(lefts, rights, m):
+        hooks = (tuple(sorted(left + right)) + (m,) for left in lefts for right in rights)
+        return hooks if m == n else (intern(h, h) for h in hooks)
+
+    return MappingProxyType(Counter(_grow(n, (), block)))
 
 
 def encode(t: Tree) -> str:

@@ -1,6 +1,9 @@
+import ast
 import json
 import os
 import re
+import shlex
+import signal
 import subprocess
 import sys
 import textwrap
@@ -10,10 +13,19 @@ from pathlib import Path
 
 import pytest
 
-from hooktrees import catalan, identities
-from hooktrees.cli import EXIT_FAILED, EXIT_OK, EXIT_PIPE, EXIT_USAGE, build_parser, main
+from hooktrees import catalan, encode, identities, iter_trees
+from hooktrees.cli import (
+    EXIT_FAILED,
+    EXIT_INTERRUPT,
+    EXIT_OK,
+    EXIT_PIPE,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -123,6 +135,22 @@ class TestEnumerateCommand:
         code, out, _ = run(capsys, "--format", "json", "enumerate", "1")
         assert code == EXIT_OK
         assert json.loads(out[0]) == {"code": "10"}
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 10])
+    def test_codes_match_encoded_trees(self, capsys, n):
+        expected = [encode(t) for t in iter_trees(n)]
+        code, out, _ = run(capsys, "enumerate", str(n))
+        assert code == EXIT_OK
+        assert out == expected
+        code, out, _ = run(capsys, "--format", "json", "enumerate", str(n))
+        assert code == EXIT_OK
+        assert out == [json.dumps({"code": c}) for c in expected]
+
+    def test_negative_rejected(self, capsys):
+        code, out, err = run(capsys, "enumerate", "-1")
+        assert code == EXIT_USAGE
+        assert out == []
+        assert err == "error: n must be nonnegative\n"
 
 
 class TestFibersCommand:
@@ -295,8 +323,7 @@ class TestConfig:
         assert excinfo.value.code == EXIT_USAGE
 
     def test_readme_lists_exactly_the_cli_flags(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        section = readme_section("CLI")
         documented = set(re.findall(r"--[a-z][a-z-]*", section))
         parser_flags = {
             flag
@@ -326,7 +353,7 @@ class TestConfig:
         assert out == expected
 
     def test_exit_codes_are_the_documented_ones(self):
-        assert (EXIT_OK, EXIT_FAILED, EXIT_USAGE, EXIT_PIPE) == (0, 1, 2, 141)
+        assert (EXIT_OK, EXIT_FAILED, EXIT_USAGE, EXIT_INTERRUPT, EXIT_PIPE) == (0, 1, 2, 130, 141)
 
     def test_bad_flag_value_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -337,6 +364,50 @@ class TestConfig:
         first = run(capsys, "verify", "postnikov", "1", "6", "both")
         second = run(capsys, "verify", "postnikov", "1", "6", "both")
         assert first == second
+
+
+def readme_section(title):
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_cli_examples():
+    # (argv, expected stdout or None) per line of the CLI block; a comment
+    # "-> X" gives the expected output.
+    block = readme_section("CLI").split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "hooktrees"
+        expected = comment.strip()[3:] if comment.strip().startswith("-> ") else None
+        examples.append((argv[1:], expected))
+    return examples
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize(
+        "argv,expected", [pytest.param(a, e, id=" ".join(a)) for a, e in readme_cli_examples()]
+    )
+    def test_example_runs(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert err == ""
+        if expected is not None:
+            assert out == [expected]
+
+    def test_examples_cover_the_documented_outputs(self):
+        examples = readme_cli_examples()
+        assert (["rank", "111000"], "4") in examples
+        assert (["unrank", "3", "4"], "111000") in examples
+
+    def test_enumerate_prints_the_tour_codes(self, capsys):
+        tour = readme_section("Library quick tour")
+        listing = tour.split("ht.iter_trees(3)]\n# ", 1)[1].split("\n", 1)[0]
+        assert (["enumerate", "3"], None) in readme_cli_examples()
+        code, out, _ = run(capsys, "enumerate", "3")
+        assert code == EXIT_OK
+        assert out == ast.literal_eval(listing)
+        assert len(out) == 5
 
 
 def child_env():
@@ -404,3 +475,31 @@ class TestClosedPipe:
         codes, before, after = json.loads(proc.stderr)
         assert codes == [141, 141]
         assert after == before
+
+
+class TestInterrupt:
+    def test_ctrl_c_exits_130_with_one_line(self):
+        # The child prints one record, then blocks on a pipe that nobody
+        # writes to, so the signal always lands while main is running.
+        script = textwrap.dedent("""
+            import os, sys
+            from hooktrees import cli
+
+            emit, (never, _) = cli._emit, os.pipe()
+
+            def emit_then_block(*args):
+                emit(*args)
+                sys.stdout.flush()
+                os.read(never, 1)
+
+            cli._emit = emit_then_block
+            sys.exit(cli.main(["verify", "han4", "1", "3", "recurrence"]))
+        """)
+        with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=child_env()) as proc:
+            assert proc.stdout.readline().startswith(b"han4\t1\trecurrence\tPASS")
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+            assert out == b""
+            assert err == b"error: interrupted\n"
+            assert proc.returncode == EXIT_INTERRUPT

@@ -315,6 +315,37 @@ class TestIntegerRecurrence:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_no_entry_past_the_one_asked_for(self):
+        # A second thread appends entry n while the first sits between its
+        # length check and the entry it computes.  The pause is forced, so
+        # the test does not depend on the switch interval.
+        n = 10
+        calls = []
+        weight = HookWeight("logged", lambda h: calls.append(h) or Fraction(1, h + 1))
+        table = SumTable(weight)
+        table.value(n - 1)
+        paused, appended = threading.Event(), threading.Event()
+        worker = threading.Thread(target=table.value, args=(n,))
+
+        class PausingList(list):
+            def __len__(self):
+                length = super().__len__()
+                if threading.current_thread() is worker and not paused.is_set():
+                    paused.set()
+                    appended.wait(timeout=60)
+                return length
+
+        table._values = PausingList(table._values)
+        worker.start()
+        assert paused.wait(timeout=60)
+        table.value(n)
+        appended.set()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert len(table) == n + 1
+        assert n + 1 not in calls
+        assert [table.value(k) for k in range(n + 1)] == fraction_sum_table(weight, n)
+
     def test_out_of_order_queries(self):
         weight = signed_weight()
         expected = fraction_sum_table(weight, 120)

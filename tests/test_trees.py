@@ -178,6 +178,19 @@ def convolution_census(n_max):
     return census
 
 
+def tuple_census(n):
+    # The census as its own pool loop, one hook tuple per tree: the tree
+    # (L, R) of size m has sorted(hooks(L) + hooks(R)) + (m,), and equal
+    # tuples share one object per level.
+    pools = [[()]]
+    for m in range(1, n + 1):
+        level = (tuple(sorted(left + right)) + (m,)
+                 for k in range(m) for left in pools[k] for right in pools[m - 1 - k])
+        shared = {}
+        pools.append(level if m == n else [shared.setdefault(h, h) for h in level])
+    return Counter(pools[n])
+
+
 class TestHookHistogram:
     @pytest.mark.parametrize("n", range(13))
     def test_census_invariants(self, n):
@@ -187,7 +200,8 @@ class TestHookHistogram:
         # the n! permutations.
         assert sum(c * (factorial(n) // prod(h)) for h, c in histogram.items()) == factorial(n)
         if n >= 1:
-            # The Node traversal is the oracle for the hook-tuple census.
+            # The Node traversal checks the census's join; both run on the
+            # one pool loop, which test_matches_tuple_pool_loop checks.
             assert dict(histogram) == Counter(hook_lengths(t) for t in iter_trees(n))
 
     def test_empty_tree(self):
@@ -199,6 +213,11 @@ class TestHookHistogram:
 
     def test_distinct_multisets(self):
         assert [len(hook_histogram(n)) for n in (8, 10, 12)] == [45, 194, 863]
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_matches_tuple_pool_loop(self, n):
+        # Keys, counts and the order in which keys first appear.
+        assert list(hook_histogram(n).items()) == list(tuple_census(n).items())
 
     def test_matches_convolution_key_by_key(self):
         for n, expected in enumerate(convolution_census(12)):
