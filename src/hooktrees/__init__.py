@@ -15,7 +15,6 @@ from .identities import (
     SumTable,
     VerificationRecord,
     VerificationReport,
-    builtin_identities,
     eval_brute,
     eval_recurrence,
     fraction_str,
@@ -63,7 +62,6 @@ __all__ = [
     "VerificationRecord",
     "VerificationReport",
     "bst_shape",
-    "builtin_identities",
     "catalan",
     "decode",
     "encode",

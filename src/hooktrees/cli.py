@@ -4,8 +4,8 @@ Exit codes are stable across subcommands: 0 when every check passed, 1 when
 a verification failed, 2 for usage or precondition errors (unknown names,
 exceeded caps, malformed codes), 130 (128 + SIGINT) on Ctrl-C, and 141
 (128 + SIGPIPE, as a shell reports for ``yes | head -1``) when the reader
-closes stdout early.  Handlers let the library's ValueErrors propagate;
-``main`` maps every one of them to exit 2 with a one-line message, Ctrl-C
+closes stdout early.  Handlers raise ValueError, or let the library's
+propagate; ``main`` maps every one of them to exit 2 with a one-line message, Ctrl-C
 to exit 130 with one line, and a closed pipe, even after such a message,
 to exit 141; none of them prints a traceback.
 """
@@ -26,11 +26,6 @@ EXIT_INTERRUPT = 130
 EXIT_PIPE = 141
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _emit(args: argparse.Namespace, row: dict, tsv: str) -> None:
     """Print one record: the row as a JSON object, or its TSV line."""
     print(json.dumps(row) if args.format == "json" else tsv)
@@ -48,7 +43,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.n > args.brute_cap:
-        return _usage_error(f"n={args.n} exceeds the brute-force cap {args.brute_cap}")
+        raise ValueError(f"n={args.n} exceeds the brute-force cap {args.brute_cap}")
     for tree in trees.iter_trees(args.n):
         code = trees.encode(tree)
         _emit(args, {"code": code}, code)
@@ -158,7 +153,8 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
             code = args.handler(args)
         except ValueError as exc:
-            code = _usage_error(str(exc))
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_USAGE
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -139,7 +139,7 @@ class SumTable:
         return len(self._values)
 
 
-def eval_brute(weight: HookWeight, n: int, *, cap: Optional[int] = DEFAULT_BRUTE_CAP) -> Fraction:
+def eval_brute(weight: HookWeight, n: int, *, cap: int = DEFAULT_BRUTE_CAP) -> Fraction:
     """S(n) by full enumeration: sum over the hook multisets of n-vertex
     trees of tree count times product of weights.  Each tree is visited
     once as one hook tuple, built from its subtrees' tuples plus its size.
@@ -147,9 +147,9 @@ def eval_brute(weight: HookWeight, n: int, *, cap: Optional[int] = DEFAULT_BRUTE
     Independent of the recurrence path by construction.  The census is
     built on the first call at n and reused read-only by later calls, so
     a new weight costs only the reduction over its keys.  At n = 0 the
-    sum is the empty product, 1.  Pass ``cap=None`` to lift the size guard.
+    sum is the empty product, 1.
     """
-    if cap is not None and n > cap:
+    if n > cap:
         raise ValueError(f"n={n} exceeds the brute-force cap {cap}; pass a larger cap to override")
     return sum(
         count * prod(map(weight, hooks), start=Fraction(1))
@@ -256,7 +256,7 @@ def _check(
     n: int,
     mode: str,
     *,
-    brute_cap: Optional[int],
+    brute_cap: int,
     table: SumTable,
 ) -> VerificationRecord:
     if mode in ("brute", "both"):
@@ -279,7 +279,7 @@ def iter_verify(
     n_to: int,
     mode: str = "both",
     *,
-    brute_cap: Optional[int] = DEFAULT_BRUTE_CAP,
+    brute_cap: int = DEFAULT_BRUTE_CAP,
     table: Optional[SumTable] = None,
 ) -> Iterator[VerificationRecord]:
     """Stream one VerificationRecord per n in [n_from, n_to]."""
@@ -301,7 +301,7 @@ def verify(
     n_to: int,
     mode: str = "both",
     *,
-    brute_cap: Optional[int] = DEFAULT_BRUTE_CAP,
+    brute_cap: int = DEFAULT_BRUTE_CAP,
     table: Optional[SumTable] = None,
 ) -> VerificationReport:
     """Check prefactor(n) * S(n) = rhs(n) for each n in the range.
@@ -380,11 +380,6 @@ def _builtins() -> dict[str, HookIdentity]:
 _BUILTINS = _builtins()
 
 BUILTIN_NAMES = tuple(_BUILTINS)
-
-
-def builtin_identities() -> list[HookIdentity]:
-    """The five built-in identities, in a stable order."""
-    return list(_BUILTINS.values())
 
 
 def get_identity(name: str) -> HookIdentity:

@@ -17,7 +17,7 @@ from itertools import permutations
 from math import factorial, prod
 from typing import Optional, Sequence
 
-from .identities import DEFAULT_BRUTE_CAP, iter_verify
+from .identities import iter_verify
 from .trees import Node, Tree, _postfix, encode, subtree_sizes
 
 DEFAULT_LABELING_CAP = 10
@@ -47,6 +47,10 @@ def increasing_labelings_brute(t: Tree, *, cap: int = DEFAULT_LABELING_CAP) -> i
     """
     if t is None:
         raise ValueError("the empty tree has no labelings")
+    code = encode(t)
+    n = len(code) // 2
+    if n > cap:
+        raise ValueError(f"tree size {n} exceeds the labeling cap {cap}")
     parent_bits: list[int] = []  # parent_bits[v]: bit of v's parent, 0 at the root
 
     def join(left: Optional[int], right: Optional[int]) -> int:
@@ -57,10 +61,7 @@ def increasing_labelings_brute(t: Tree, *, cap: int = DEFAULT_LABELING_CAP) -> i
                 parent_bits[child] = 1 << vertex
         return vertex
 
-    _postfix(encode(t), None, join)
-    n = len(parent_bits)
-    if n > cap:
-        raise ValueError(f"tree size {n} exceeds the labeling cap {cap}")
+    _postfix(code, None, join)
     counts = {0: 1}  # ideal -> ways to reach it, all ideals of one size
     for _ in range(n):
         grown: Counter[int] = Counter()
@@ -117,8 +118,8 @@ def shape_fiber_histogram(n: int, *, cap: int = DEFAULT_FIBER_CAP) -> dict[str, 
     return dict(histogram)
 
 
-def verify_eq2(n: int, *, cap: int = DEFAULT_BRUTE_CAP) -> bool:
+def verify_eq2(n: int) -> bool:
     """Exact check that labeling counts sum to n!: the ``labelings`` identity on the brute route."""
     if n < 1:
         raise ValueError("n must be positive")
-    return next(iter_verify("labelings", n, n, "brute", brute_cap=cap)).passed
+    return next(iter_verify("labelings", n, n, "brute")).passed

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import re
@@ -7,12 +8,14 @@ import signal
 import subprocess
 import sys
 import textwrap
+import types
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
 import pytest
 
+import hooktrees
 from hooktrees import catalan, encode, identities, iter_trees
 from hooktrees.cli import (
     EXIT_FAILED,
@@ -26,6 +29,7 @@ from hooktrees.cli import (
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def run(capsys, *argv):
@@ -294,6 +298,7 @@ class TestRankUnrankCommands:
         ["rank", "1"],
         ["unrank", "3", "5"],
         ["verify", "han4", "5", "3", "both"],
+        ["--brute-cap", "6", "enumerate", "7"],
     ],
 )
 def test_library_errors_are_one_line_usage_errors(capsys, argv):
@@ -301,6 +306,26 @@ def test_library_errors_are_one_line_usage_errors(capsys, argv):
     assert code == EXIT_USAGE
     assert out == []
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestPublicSurface:
+    def test_console_script_is_cli_main(self):
+        # A regex, not tomllib: Python 3.10 has no TOML reader.
+        target = re.search(
+            r'^\[project\.scripts\]\nhooktrees = "([\w.]+):(\w+)"$', PYPROJECT.read_text(), re.M
+        )
+        assert target is not None
+        module, attribute = target.groups()
+        assert getattr(importlib.import_module(module), attribute) is main
+
+    def test_all_names_every_public_binding_once(self):
+        public = {
+            name
+            for name, value in vars(hooktrees).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert len(hooktrees.__all__) == len(set(hooktrees.__all__))
+        assert set(hooktrees.__all__) == public
 
 
 class TestConfig:

@@ -16,6 +16,7 @@ from hooktrees import (
     subtree_sizes,
     verify_eq2,
 )
+from hooktrees import labelings
 
 BALANCED_3 = Node(Node(), Node())
 LEFT_CHAIN_3 = Node(Node(Node(), None), None)
@@ -109,6 +110,14 @@ class TestLabelingBrute:
         assert increasing_labelings_brute(decode("10" * 10)) == 1
         with pytest.raises(ValueError, match="labeling cap 10"):
             increasing_labelings_brute(decode("10" * 11))
+
+    def test_cap_checked_before_the_tree_is_read(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("folded a tree past the cap")
+
+        monkeypatch.setattr(labelings, "_postfix", unreachable)
+        with pytest.raises(ValueError, match="tree size 4 exceeds the labeling cap 3"):
+            increasing_labelings_brute(LEFT_CHAIN_4, cap=3)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_formula_matches_brute(self, n):
