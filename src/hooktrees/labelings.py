@@ -111,7 +111,7 @@ def shape_fiber_histogram(n: int, *, cap: int = DEFAULT_FIBER_CAP) -> dict[str, 
     if n < 1:
         raise ValueError("n must be positive")
     if n > cap:
-        raise ValueError(f"n={n} exceeds the fiber cap {cap} ({factorial(cap)} permutations)")
+        raise ValueError(f"n={n} exceeds the fiber cap {cap}")
     histogram: Counter[str] = Counter()
     for perm in permutations(range(1, n + 1)):
         histogram[encode(bst_shape(perm))] += 1

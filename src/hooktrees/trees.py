@@ -6,11 +6,9 @@ position, then the right's.  This mirrors the root split used by the
 convolution recurrence, so enumeration, ranking and recurrence evaluation
 all share one decomposition.  ``rank`` and ``unrank`` address positions in
 this order using Catalan prefix counts only; the enumeration is never
-materialized.  ``_grow`` is the one writer of the order: ``iter_trees``
-and the hook census are folds over its pools, which last one call.  The
-memos are ``hook_histogram`` and ``catalan``; ``rank`` and ``unrank`` at n
-leave every C(m), m <= n, in the latter for the life of the process, about
-n**2 bits (~13 MiB at n = 10**4).
+materialized.  ``_grow`` is the one writer of the order: ``iter_trees`` and
+the hook census fold over its pools, which last one call, as do the C(0..n)
+lists of ``rank`` and ``unrank`` (~n**2 bits).  The only memo is ``hook_histogram``.
 
 The codec emits one '1' per vertex in preorder and one '0' per absent
 child, recursing left then right; the final '0' is forced and dropped,
@@ -32,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb
+from operator import mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
@@ -67,7 +66,6 @@ class Node:
 Tree = Optional[Node]
 
 
-@lru_cache(maxsize=None)
 def catalan(n: int) -> int:
     """Number of binary trees with n vertices: C(2n, n) / (n + 1), exactly."""
     if n < 0:
@@ -195,34 +193,42 @@ def decode(code: str) -> Tree:
     return _postfix(code, None, Node)
 
 
-def _left_block_offset(n: int, k: int) -> int:
-    # Trees of size n whose left subtree is smaller than k all come first.
-    # Blocks are symmetric under k <-> n-1-k, so sum from the nearer end.
-    if 2 * k > n:
-        return catalan(n) - _left_block_offset(n, n - k)
-    return sum(catalan(j) * catalan(n - 1 - j) for j in range(k))
+def _catalans(n: int) -> list[int]:
+    # [C(0), ..., C(n)] for one call, each exactly from the one before.
+    c = [1]
+    for t in range(n):
+        c.append(c[t] * (4 * t + 2) // (t + 2))
+    return c
 
 
 def rank(t: Tree) -> int:
     """Position of the tree in the canonical order of its size class."""
     # Bottom-up over (size, rank): a vertex of size n with a left subtree
-    # of size k has rank offset(n, k) + rank(left) * C(n-1-k) + rank(right).
+    # of size k has rank offset + rank(left) * C(n-1-k) + rank(right), where
+    # offset counts the trees with a smaller left subtree, from the nearer end.
+    code = encode(t)
+    c = _catalans(len(code) // 2)
+
     def join(left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int]:
         (k, i), (m, j) = left, right
         n = k + m + 1
-        return n, _left_block_offset(n, k) + i * catalan(m) + j
+        offset = (sum(map(mul, c[:k], reversed(c[m + 1:n]))) if k <= m else
+                  c[n] - sum(map(mul, c[:m + 1], reversed(c[k:n]))))
+        return n, offset + i * c[m] + j
 
-    return _postfix(encode(t), (0, 0), join)[1]
+    return _postfix(code, (0, 0), join)[1]
 
 
 def unrank(n: int, i: int) -> Tree:
     """Tree at position i in the canonical order on n-vertex trees.
 
-    Inverse of :func:`rank`.  Works from Catalan prefix counts alone.
+    Inverse of :func:`rank`.  Works from Catalan prefix counts alone, built
+    for this call: about n**2 bits, freed on return (~1.2 GiB at n = 10**5).
     """
     total = catalan(n)
     if not 0 <= i < total:
         raise ValueError(f"rank {i} out of range: there are {total} trees with {n} vertices")
+    c = _catalans(n)
     bits: list[str] = []
     tasks: list[tuple[int, int]] = [(n, i)]
     while tasks:
@@ -233,17 +239,17 @@ def unrank(n: int, i: int) -> Tree:
         bits.append("1")
         # Find the block of left-subtree size k holding j, scanning from the
         # end nearer to j; blocks are symmetric under k <-> m-1-k.
-        if 2 * j < catalan(m):
+        if 2 * j < c[m]:
             k = 0
-            while j >= (block := catalan(k) * catalan(m - 1 - k)):
+            while j >= (block := c[k] * c[m - 1 - k]):
                 j -= block
                 k += 1
         else:
-            k, j = m, j - catalan(m)  # negative: counted back from the end
+            k, j = m, j - c[m]  # negative: counted back from the end
             while j < 0:
                 k -= 1
-                j += catalan(k) * catalan(m - 1 - k)
-        left_index, right_index = divmod(j, catalan(m - 1 - k))
+                j += c[k] * c[m - 1 - k]
+        left_index, right_index = divmod(j, c[m - 1 - k])
         tasks.append((m - 1 - k, right_index))
         tasks.append((k, left_index))
     bits.pop()

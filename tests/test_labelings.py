@@ -199,6 +199,11 @@ class TestFiberHistogram:
             shape_fiber_histogram(4, cap=3)
         assert sum(shape_fiber_histogram(4, cap=4).values()) == 24
 
+    def test_cap_message_is_one_short_line(self):
+        with pytest.raises(ValueError, match="fiber cap 20000") as info:
+            shape_fiber_histogram(20001, cap=20000)
+        assert len(str(info.value)) < 100
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             shape_fiber_histogram(0)

@@ -4,6 +4,7 @@ import itertools
 import pickle
 import random
 from collections import Counter, deque
+from functools import lru_cache
 from math import comb, factorial, prod
 
 import pytest
@@ -22,7 +23,7 @@ from hooktrees import (
     subtree_sizes,
     unrank,
 )
-from hooktrees.trees import _left_block_offset, hook_histogram
+from hooktrees.trees import hook_histogram
 
 SINGLE = Node()
 LEFT_CHAIN_2 = Node(Node(), None)
@@ -94,6 +95,19 @@ def subtree_sizes_oracle(t):
     return out
 
 
+@lru_cache(maxsize=None)  # the closed form, memoized to keep the oracles fast
+def catalan_oracle(n):
+    return comb(2 * n, n) // (n + 1)
+
+
+def left_block_offset(n, k):
+    # Trees of size n whose left subtree is smaller than k all come first.
+    # Blocks are symmetric under k <-> n-1-k, so sum from the nearer end.
+    if 2 * k > n:
+        return catalan_oracle(n) - left_block_offset(n, n - k)
+    return sum(catalan_oracle(j) * catalan_oracle(n - 1 - j) for j in range(k))
+
+
 def rank_oracle(t):
     # (size, rank) per node, keyed by id(node); None stands for every
     # absent child.
@@ -102,8 +116,36 @@ def rank_oracle(t):
         k, left = done[id(node.left)]
         m, right = done[id(node.right)]
         n = k + m + 1
-        done[id(node)] = (n, _left_block_offset(n, k) + left * catalan(m) + right)
+        done[id(node)] = (n, left_block_offset(n, k) + left * catalan_oracle(m) + right)
     return done[id(t)][1]
+
+
+def unrank_oracle(n, i):
+    # The block scan of ``unrank``, with each Catalan number from its closed
+    # form in place of the per-call list.
+    bits = []
+    tasks = [(n, i)]
+    while tasks:
+        m, j = tasks.pop()
+        if m == 0:
+            bits.append("0")
+            continue
+        bits.append("1")
+        if 2 * j < catalan_oracle(m):
+            k = 0
+            while j >= (block := catalan_oracle(k) * catalan_oracle(m - 1 - k)):
+                j -= block
+                k += 1
+        else:
+            k, j = m, j - catalan_oracle(m)
+            while j < 0:
+                k -= 1
+                j += catalan_oracle(k) * catalan_oracle(m - 1 - k)
+        left_index, right_index = divmod(j, catalan_oracle(m - 1 - k))
+        tasks.append((m - 1 - k, right_index))
+        tasks.append((k, left_index))
+    bits.pop()
+    return "".join(bits)
 
 
 class TestCatalan:
@@ -351,11 +393,33 @@ class TestRankUnrank:
 
     def test_left_block_offset_matches_one_sided_sum(self):
         # The one-sided sum over the k smaller left subtrees is the
-        # definition; the library sums from whichever end is nearer.
+        # definition; the oracle sums from whichever end is nearer.
         for n in range(41):
             for k in range(n + 1):
                 expected = sum(catalan(j) * catalan(n - 1 - j) for j in range(k))
-                assert _left_block_offset(n, k) == expected
+                assert left_block_offset(n, k) == expected
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_unrank_matches_oracle_up_to_nine(self, n):
+        for i in range(catalan(n)):
+            assert encode(unrank(n, i)) == unrank_oracle(n, i)
+
+    def test_unrank_matches_oracle_on_random_pairs(self):
+        rng = random.Random(21)
+        for _ in range(200):
+            n = rng.randint(0, 400)
+            i = rng.randrange(catalan(n))
+            assert encode(unrank(n, i)) == unrank_oracle(n, i)
+
+    def test_chains_round_trip_at_ten_thousand(self):
+        n = 10**4
+        for code, expected in ("1" * n + "0" * n, catalan(n) - 1), ("10" * n, 0):
+            assert rank(decode(code)) == expected
+            assert encode(unrank(n, expected)) == code
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            unrank(-1, 0)
 
     def test_deep_chain_survives(self):
         # Chains exercise the explicit-stack traversals well past any
