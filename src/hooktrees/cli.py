@@ -13,7 +13,6 @@ to exit 141; none of them prints a traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -28,7 +27,11 @@ EXIT_PIPE = 141
 
 def _emit(args: argparse.Namespace, row: dict, tsv: str) -> None:
     """Print one record: the row as a JSON object, or its TSV line."""
-    print(json.dumps(row) if args.format == "json" else tsv)
+    if args.format == "json":
+        import json  # only JSON output pays for this import
+        print(json.dumps(row))
+    else:
+        print(tsv)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -60,6 +63,8 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    if args.n_to < 0:  # the range starts at 0, which the user never typed
+        raise ValueError("n must be nonnegative")
     identity = identities.get_identity(args.identity)
     table = identities.SumTable(identity.weight)
     mismatched = False

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
 from numbers import Rational
 from operator import mul
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .trees import catalan, hook_histogram
 
@@ -172,8 +171,7 @@ def eval_recurrence(weight: HookWeight, n: int, table: Optional[SumTable] = None
     return table.value(n)
 
 
-@dataclass(frozen=True)
-class HookIdentity:
+class HookIdentity(NamedTuple):
     """A named claim: prefactor(n) * S_weight(n) = rhs(n) for all n >= 1.
 
     prefactor and rhs must be total on n >= 1; the built-ins also define
@@ -191,8 +189,7 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Outcome of checking one identity at one n.
 
     lhs and rhs are always the identity's two sides.  When the two routes
@@ -236,8 +233,7 @@ class VerificationRecord:
         return row
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Per-n outcomes for one verify call."""
 
     records: tuple[VerificationRecord, ...]

@@ -26,7 +26,6 @@ call-stack recursion would cap the usable size.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb
@@ -37,7 +36,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 T = TypeVar("T")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Node:
     """A vertex with optional left and right children.
 
@@ -47,8 +45,21 @@ class Node:
     without recursion at any depth.
     """
 
-    left: Optional["Node"] = None
-    right: Optional["Node"] = None
+    __slots__ = __match_args__ = ("left", "right")
+    left: Optional["Node"]
+    right: Optional["Node"]
+
+    def __init__(self, left: Optional["Node"] = None, right: Optional["Node"] = None):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError  # here, so a cold start skips ~10 ms
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         return encode(self) == encode(other) if isinstance(other, Node) else NotImplemented
@@ -225,9 +236,8 @@ def unrank(n: int, i: int) -> Tree:
     Inverse of :func:`rank`.  Works from Catalan prefix counts alone, built
     for this call: about n**2 bits, freed on return (~1.2 GiB at n = 10**5).
     """
-    total = catalan(n)
-    if not 0 <= i < total:
-        raise ValueError(f"rank {i} out of range: there are {total} trees with {n} vertices")
+    if not 0 <= i < catalan(n):  # i and C(n) stay out of the message: both may be huge
+        raise ValueError(f"rank out of range for n={n}: must be at least 0 and below catalan(n)")
     c = _catalans(n)
     bits: list[str] = []
     tasks: list[tuple[int, int]] = [(n, i)]

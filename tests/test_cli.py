@@ -3,7 +3,6 @@ import importlib
 import json
 import os
 import re
-import shlex
 import signal
 import subprocess
 import sys
@@ -26,9 +25,9 @@ from hooktrees.cli import (
     build_parser,
     main,
 )
+from readme_cli import readme_cli_examples, readme_section  # stdlib script beside this file
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-README = Path(__file__).resolve().parents[1] / "README.md"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -217,6 +216,11 @@ class TestTableCommand:
         assert code == EXIT_FAILED
         assert out == ["0\t1/1\t1/1\t0/1\tFAIL", "1\t1/1\t1/1\t1/1\tPASS"]
 
+    def test_negative_rejected(self, capsys):
+        # Not "empty range: n_from=0 > n_to=-1": the user typed no n_from.
+        code, out, err = run(capsys, "table", "han4", "-1")
+        assert (code, out, err) == (EXIT_USAGE, [], "error: n must be nonnegative\n")
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "table", "postnikov", "3")
         assert code == EXIT_OK
@@ -249,6 +253,13 @@ class TestRankUnrankCommands:
         code, _, err = run(capsys, "unrank", "3", "5")
         assert code == EXIT_USAGE
         assert "out of range" in err
+
+    def test_unrank_out_of_range_is_short_at_any_size(self, capsys):
+        # C(10000) has 6,015 digits; the message carries neither it nor the index.
+        for argv in (["unrank", "10000", "-1"], ["unrank", "3", "9" * 5000]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (EXIT_USAGE, [])
+            assert "out of range" in err and err.count("\n") == 1 and len(err) < 100
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "rank", "111000")
@@ -391,24 +402,6 @@ class TestConfig:
         assert first == second
 
 
-def readme_section(title):
-    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
-
-
-def readme_cli_examples():
-    # (argv, expected stdout or None) per line of the CLI block; a comment
-    # "-> X" gives the expected output.
-    block = readme_section("CLI").split("```sh\n", 1)[1].split("```", 1)[0]
-    examples = []
-    for line in block.splitlines():
-        command, _, comment = line.partition("#")
-        argv = shlex.split(command)
-        assert argv[0] == "hooktrees"
-        expected = comment.strip()[3:] if comment.strip().startswith("-> ") else None
-        examples.append((argv[1:], expected))
-    return examples
-
-
 class TestReadmeExamples:
     @pytest.mark.parametrize(
         "argv,expected", [pytest.param(a, e, id=" ".join(a)) for a, e in readme_cli_examples()]
@@ -450,6 +443,28 @@ def spawn(*argv):
         stderr=subprocess.PIPE,
         env=child_env(),
     )
+
+
+class TestColdStart:
+    def test_cli_import_skips_heavy_modules(self):
+        # dataclasses drags in inspect, dis, ast and tokenize; json is
+        # imported only when --format json writes a record.
+        heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
+        probe = f"import sys, hooktrees.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=child_env(), timeout=60)
+        assert (proc.stdout, proc.stderr) == ("[]\n", "")
+
+    def test_json_output_from_a_fresh_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hooktrees", "--format", "json", "verify", "han4", "2", "3", "both"],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout == (
+            '{"identity": "han4", "n": 2, "mode": "both", "status": "PASS", "lhs": "1/2", "rhs": "1/2"}\n'
+            '{"identity": "han4", "n": 3, "mode": "both", "status": "PASS", "lhs": "1/6", "rhs": "1/6"}\n'
+        )
 
 
 class TestClosedPipe:

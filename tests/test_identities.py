@@ -1,3 +1,4 @@
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -545,6 +546,31 @@ class TestReportSerialization:
             "lhs": "1/120",
             "rhs": "1/120",
         }
+
+
+class TestValueClasses:
+    def records(self):
+        record = verify("han4", 3, 3, "recurrence").records[0]
+        return [HAN4, record, verify("han4", 1, 3, "recurrence")]
+
+    def test_fields_are_read_only(self):
+        for value in self.records():
+            for name in (type(value)._fields[0], "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(value, name, None)
+
+    def test_equal_fields_give_equal_objects_and_hashes(self):
+        for value in self.records():
+            twin = type(value)(*value)
+            assert twin == value and twin is not value
+            assert hash(twin) == hash(value)
+        record = self.records()[1]
+        assert record._replace(n=4) != record
+
+    def test_records_round_trip_through_pickle(self):
+        # HookIdentity holds lambdas, which do not pickle.
+        for value in self.records()[1:]:
+            assert pickle.loads(pickle.dumps(value)) == value
 
 
 class TestFractionStr:

@@ -367,6 +367,14 @@ class TestRankUnrank:
         with pytest.raises(ValueError):
             unrank(4, -1)
 
+    def test_out_of_range_message_is_short(self):
+        # Under the default int/str digit limit: neither C(10000) (6,015
+        # digits) nor i may be formatted into the message.
+        for n, i in [(10000, -1), (3, 10**5000)]:
+            with pytest.raises(ValueError, match="out of range") as excinfo:
+                unrank(n, i)
+            assert len(str(excinfo.value)) < 100
+
     def test_sampled_roundtrip_at_twelve(self):
         total = catalan(12)
         for i in range(0, total, 997):
@@ -472,6 +480,19 @@ class TestImmutability:
         node = Node()
         with pytest.raises(dataclasses.FrozenInstanceError):
             node.left = Node()
+
+    def test_child_deletion_frozen(self):
+        node = Node(Node(), None)
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'left'"):
+            del node.left
+        assert node.left == Node()
+
+    def test_match_binds_both_children(self):
+        match unrank(3, 2):
+            case Node(left, right):
+                assert (left, right) == (Node(), Node())
+            case _:
+                pytest.fail("Node(left, right) did not match a vertex")
 
 
 class TestNodeEquality:
