@@ -4,10 +4,11 @@ Exit codes are stable across subcommands: 0 when every check passed, 1 when
 a verification failed, 2 for usage or precondition errors (unknown names,
 exceeded caps, malformed codes), 130 (128 + SIGINT) on Ctrl-C, and 141
 (128 + SIGPIPE, as a shell reports for ``yes | head -1``) when the reader
-closes stdout early.  Handlers raise ValueError, or let the library's
-propagate; ``main`` maps every one of them to exit 2 with a one-line message, Ctrl-C
-to exit 130 with one line, and a closed pipe, even after such a message,
-to exit 141; none of them prints a traceback.
+closes stdout early, even after an error message.  Handlers only yield
+``(passed, row, tsv)`` per record; ``main`` alone prints them and picks the
+exit code.  The parser and the handlers raise ValueError for every usage
+error, which ``main`` prints as one ``error:`` line, as it does for Ctrl-C;
+no exit prints a traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Iterator
 
 from . import identities, labelings, trees
 
@@ -34,40 +36,35 @@ def _emit(args: argparse.Namespace, row: dict, tsv: str) -> None:
         print(tsv)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    failed = False
-    for record in identities.iter_verify(
-        args.identity, args.n_from, args.n_to, args.mode, brute_cap=args.brute_cap
-    ):
-        _emit(args, record.row(), record.tsv_line())
-        failed = failed or not record.passed
-    return EXIT_FAILED if failed else EXIT_OK
+_Rows = Iterator[tuple[bool, dict, str]]  # (passed, row, tsv) per record
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Rows:
+    for record in identities.iter_verify(args.identity, args.n_from, args.n_to, args.mode,
+                                         brute_cap=args.brute_cap):
+        yield record.passed, record.row(), record.tsv_line()
+
+
+def _cmd_enumerate(args: argparse.Namespace) -> _Rows:
     if args.n > args.brute_cap:
         raise ValueError(f"n={args.n} exceeds the brute-force cap {args.brute_cap}")
-    for tree in trees.iter_trees(args.n):
-        code = trees.encode(tree)
-        _emit(args, {"code": code}, code)
-    return EXIT_OK
+    for code in map(trees.encode, trees.iter_trees(args.n)):
+        yield True, {"code": code}, code
 
 
-def _cmd_fibers(args: argparse.Namespace) -> int:
+def _cmd_fibers(args: argparse.Namespace) -> _Rows:
     histogram = labelings.shape_fiber_histogram(args.n, cap=args.fiber_cap)
     for code, count in sorted(histogram.items()):
-        _emit(args, {"code": code, "count": count}, f"{code}\t{count}")
+        yield True, {"code": code, "count": count}, f"{code}\t{count}"
     total = sum(histogram.values())
-    _emit(args, {"total": total}, f"total\t{total}")
-    return EXIT_OK
+    yield True, {"total": total}, f"total\t{total}"
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> _Rows:
     if args.n_to < 0:  # the range starts at 0, which the user never typed
         raise ValueError("n must be nonnegative")
     identity = identities.get_identity(args.identity)
     table = identities.SumTable(identity.weight)
-    mismatched = False
     for record in identities.iter_verify(identity, 0, args.n_to, "recurrence", table=table):
         row = {
             "n": record.n,
@@ -76,21 +73,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
             "rhs": identities.fraction_str(record.rhs),
             "match": record.passed,
         }
-        _emit(args, row, f"{record.n}\t{row['sum']}\t{row['lhs']}\t{row['rhs']}\t{record.status}")
-        mismatched = mismatched or not record.passed
-    return EXIT_FAILED if mismatched else EXIT_OK
+        tsv = f"{record.n}\t{row['sum']}\t{row['lhs']}\t{row['rhs']}\t{record.status}"
+        yield record.passed, row, tsv
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
+def _cmd_rank(args: argparse.Namespace) -> _Rows:
     value = trees.rank(trees.decode(args.code))
-    _emit(args, {"rank": value}, str(value))
-    return EXIT_OK
+    yield True, {"rank": value}, str(value)
 
 
-def _cmd_unrank(args: argparse.Namespace) -> int:
+def _cmd_unrank(args: argparse.Namespace) -> _Rows:
     code = trees.encode(trees.unrank(args.n, args.index))
-    _emit(args, {"code": code}, code)
-    return EXIT_OK
+    yield True, {"code": code}, code
 
 
 def _positive_int(text: str) -> int:
@@ -100,8 +94,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one line, through main's usage-error path
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hooktrees",
         description="Exact verification of multiplicative hook-length identities on binary trees.",
     )
@@ -156,7 +155,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-            code = args.handler(args)
+            code = EXIT_OK
+            for passed, row, tsv in args.handler(args):
+                _emit(args, row, tsv)
+                if not passed:
+                    code = EXIT_FAILED
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = EXIT_USAGE

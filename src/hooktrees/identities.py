@@ -19,6 +19,11 @@ path.
 
 from __future__ import annotations
 
+__all__ = ["BUILTIN_NAMES", "DEFAULT_BRUTE_CAP", "HookIdentity", "HookWeight", "SumTable",
+           "VerificationRecord", "VerificationReport", "eval_brute", "eval_recurrence",
+           "fraction_str", "get_identity", "iter_verify", "odd_binomial_sum", "random_hook_weight",
+           "verify"]
+
 import random
 import threading
 from fractions import Fraction

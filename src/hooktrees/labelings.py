@@ -12,6 +12,9 @@ they build recovers exactly the labeling count of each shape.
 
 from __future__ import annotations
 
+__all__ = ["DEFAULT_FIBER_CAP", "DEFAULT_LABELING_CAP", "bst_shape", "increasing_labelings_brute",
+           "increasing_labelings_count", "shape_fiber_histogram", "verify_eq2"]
+
 from collections import Counter
 from itertools import permutations
 from math import factorial, prod

@@ -25,6 +25,9 @@ call-stack recursion would cap the usable size.
 
 from __future__ import annotations
 
+__all__ = ["Node", "Tree", "catalan", "decode", "encode", "hook_lengths", "iter_trees", "rank",
+           "size", "subtree_sizes", "unrank"]
+
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
@@ -78,10 +81,16 @@ Tree = Optional[Node]
 
 
 def catalan(n: int) -> int:
-    """Number of binary trees with n vertices: C(2n, n) / (n + 1), exactly."""
+    """Number of binary trees with n vertices: C(2n, n) / (n + 1), exactly.
+
+    Raises ValueError for n < 0, and for n >= 2**63, past ``math.comb``'s range.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return comb(2 * n, n) // (n + 1)
+    try:
+        return comb(2 * n, n) // (n + 1)
+    except OverflowError:  # n stays out of the message: it may be too long to print
+        raise ValueError("n must be at most 2**63 - 1") from None
 
 
 def size(t: Tree) -> int:
@@ -235,6 +244,9 @@ def unrank(n: int, i: int) -> Tree:
 
     Inverse of :func:`rank`.  Works from Catalan prefix counts alone, built
     for this call: about n**2 bits, freed on return (~1.2 GiB at n = 10**5).
+    An n past :func:`catalan`'s range raises ValueError at once.  Below it,
+    from about n = 10**6, the call runs long as that list grows; Ctrl-C ends
+    it (the CLI exits 130).
     """
     if not 0 <= i < catalan(n):  # i and C(n) stay out of the message: both may be huge
         raise ValueError(f"rank out of range for n={n}: must be at least 0 and below catalan(n)")

@@ -1,5 +1,8 @@
 import ast
+import contextlib
 import importlib
+import io
+import inspect
 import json
 import os
 import re
@@ -13,9 +16,10 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hooktrees
-from hooktrees import catalan, encode, identities, iter_trees
+from hooktrees import catalan, cli, encode, identities, iter_trees
 from hooktrees.cli import (
     EXIT_FAILED,
     EXIT_INTERRUPT,
@@ -63,9 +67,10 @@ class TestVerifyCommand:
         assert all(line.endswith("PASS") for line in out)
 
     def test_unknown_identity_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "riemann", "1", "3", "both"])
-        assert excinfo.value.code == EXIT_USAGE
+        code, out, err = run(capsys, "verify", "riemann", "1", "3", "both")
+        assert (code, out) == (EXIT_USAGE, [])
+        assert err.startswith("error: argument identity: invalid choice: 'riemann'")
+        assert err.count("\n") == 1
 
     def test_cap_violation_is_usage_error(self, capsys):
         code, out, err = run(capsys, "--brute-cap", "4", "verify", "han4", "1", "9", "brute")
@@ -310,6 +315,12 @@ class TestRankUnrankCommands:
         ["unrank", "3", "5"],
         ["verify", "han4", "5", "3", "both"],
         ["--brute-cap", "6", "enumerate", "7"],
+        ["verify", "nope", "1", "2", "both"],
+        ["--brute-cap", "0", "enumerate", "1"],
+        ["verify", "han4", "1", "x", "both"],
+        ["rank", "10", "10"],
+        [],
+        ["unrank", "1000000000000000000000", "0"],
     ],
 )
 def test_library_errors_are_one_line_usage_errors(capsys, argv):
@@ -317,6 +328,22 @@ def test_library_errors_are_one_line_usage_errors(capsys, argv):
     assert code == EXIT_USAGE
     assert out == []
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exits_zero_with_usage_on_stdout(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: hooktrees ")
+    assert captured.err == ""
+
+
+def test_handlers_only_yield_rows():
+    # main alone prints records and picks exit codes.
+    handlers = [value for name, value in vars(cli).items() if name.startswith("_cmd_")]
+    assert len(handlers) == 6
+    assert all(inspect.isgeneratorfunction(handler) for handler in handlers)
 
 
 class TestPublicSurface:
@@ -338,6 +365,23 @@ class TestPublicSurface:
         assert len(hooktrees.__all__) == len(set(hooktrees.__all__))
         assert set(hooktrees.__all__) == public
 
+    def test_exported_names_are_pinned(self):
+        assert set(hooktrees.__all__) == {
+            "BUILTIN_NAMES", "DEFAULT_BRUTE_CAP", "DEFAULT_FIBER_CAP", "DEFAULT_LABELING_CAP",
+            "HookIdentity", "HookWeight", "Node", "SumTable", "Tree", "VerificationRecord",
+            "VerificationReport", "bst_shape", "catalan", "decode", "encode", "eval_brute",
+            "eval_recurrence", "fraction_str", "get_identity", "hook_lengths",
+            "increasing_labelings_brute", "increasing_labelings_count", "iter_trees", "iter_verify",
+            "odd_binomial_sum", "random_hook_weight", "rank", "shape_fiber_histogram", "size",
+            "subtree_sizes", "unrank", "verify", "verify_eq2",
+        }
+
+    @pytest.mark.parametrize("module", ["identities", "labelings", "trees"])
+    def test_star_import_gives_the_module_surface(self, module):
+        namespace = {}
+        exec(f"from hooktrees.{module} import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(getattr(hooktrees, module).__all__)
+
 
 class TestConfig:
     def test_defaults(self):
@@ -346,17 +390,17 @@ class TestConfig:
         assert args.fiber_cap == 8
         assert args.format == "tsv"
 
-    def test_validation(self):
+    def test_validation(self, capsys):
         for argv in (["--fiber-cap", "0"], ["--format", "xml"]):
-            with pytest.raises(SystemExit) as excinfo:
-                main([*argv, "enumerate", "3"])
-            assert excinfo.value.code == EXIT_USAGE
+            code, out, err = run(capsys, *argv, "enumerate", "3")
+            assert (code, out) == (EXIT_USAGE, [])
+            assert err.startswith(f"error: argument {argv[0]}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--seed", "--labeling-cap"])
-    def test_removed_flags_rejected(self, flag):
-        with pytest.raises(SystemExit) as excinfo:
-            main([flag, "7", "fibers", "4"])
-        assert excinfo.value.code == EXIT_USAGE
+    def test_removed_flags_rejected(self, capsys, flag):
+        code, out, err = run(capsys, flag, "7", "fibers", "4")
+        assert (code, out) == (EXIT_USAGE, [])
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_readme_lists_exactly_the_cli_flags(self):
         section = readme_section("CLI")
@@ -391,10 +435,10 @@ class TestConfig:
     def test_exit_codes_are_the_documented_ones(self):
         assert (EXIT_OK, EXIT_FAILED, EXIT_USAGE, EXIT_INTERRUPT, EXIT_PIPE) == (0, 1, 2, 130, 141)
 
-    def test_bad_flag_value_is_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--brute-cap", "0", "enumerate", "3"])
-        assert excinfo.value.code == EXIT_USAGE
+    def test_bad_flag_value_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "--brute-cap", "0", "enumerate", "3")
+        assert (code, out) == (EXIT_USAGE, [])
+        assert err == "error: argument --brute-cap: must be a positive integer\n"
 
     def test_output_deterministic(self, capsys):
         first = run(capsys, "verify", "postnikov", "1", "6", "both")
@@ -543,3 +587,58 @@ class TestInterrupt:
             assert out == b""
             assert err == b"error: interrupted\n"
             assert proc.returncode == EXIT_INTERRUPT
+
+
+# A grammar fuzz of the whole CLI, in process.  Every example finishes in
+# milliseconds: n stays small, and ints of 2**63 or more appear only where
+# they are refused before any work (unrank's n, enumerate and fibers past
+# their caps).
+SMALL = st.integers(-3, 10)
+HUGE = st.integers(2**63, 2**80)
+CAP = st.one_of(st.integers(1, 16), st.sampled_from(["0", "-2", "x", "2.5", ""]))
+CODE = st.one_of(st.text("01x", max_size=12), st.builds(
+    lambda n, i: encode(hooktrees.unrank(n, i % catalan(n))), st.integers(0, 6), st.integers(0, 999)))
+NAME = st.sampled_from([*identities.BUILTIN_NAMES, "riemann"])
+TSV_FIELDS = {"verify": {4, 6, 8}, "table": {5}, "fibers": {2}, "enumerate": {1}, "rank": {1},
+              "unrank": {1}}
+
+
+@st.composite
+def cli_argv(draw):
+    argv = []
+    for flag, value in (("--format", st.sampled_from(["tsv", "json", "xml"])),
+                        ("--brute-cap", CAP), ("--fiber-cap", CAP)):
+        if draw(st.integers(0, 2)) == 0:
+            argv += [flag, str(draw(value))]
+    command = draw(st.sampled_from([*TSV_FIELDS, "nope", ""]))
+    positionals = {
+        "verify": [NAME, SMALL, SMALL, st.sampled_from([*identities.MODES, "fast"])],
+        "table": [NAME, SMALL],
+        "enumerate": [st.one_of(st.integers(-3, 6), HUGE)],
+        "fibers": [st.one_of(st.integers(-3, 6), HUGE)],
+        "rank": [CODE],
+        "unrank": [st.one_of(SMALL, HUGE), st.one_of(st.integers(-3, 200), HUGE)],
+    }.get(command, [])
+    args = [str(draw(strategy)) for strategy in positionals]
+    if args and draw(st.integers(0, 9)) == 0:  # one positional too few or too many
+        args = args[:-1] if draw(st.booleans()) else [*args, "1"]
+    return command, [*argv, command, *args]
+
+
+@given(cli_argv())
+@settings(max_examples=150, deadline=None)
+def test_grammar_fuzz_exits_cleanly(drawn):
+    command, argv = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_FAILED, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue() == "" or (
+        err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1)
+    assert (code == EXIT_USAGE) == (err.getvalue() != "")
+    for line in out.getvalue().splitlines():
+        if "json" in argv:
+            json.loads(line)
+        else:
+            assert len(line.split("\t")) in TSV_FIELDS[command]

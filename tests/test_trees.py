@@ -164,6 +164,12 @@ class TestCatalan:
         with pytest.raises(ValueError, match="nonnegative"):
             catalan(-1)
 
+    def test_past_comb_range_is_a_short_value_error(self):
+        # math.comb raises OverflowError here; the message leaves n out.
+        for n in (2**63, 10**21, 10**5000):
+            with pytest.raises(ValueError, match=r"^n must be at most 2\*\*63 - 1$"):
+                catalan(n)
+
 
 class TestSize:
     @pytest.mark.parametrize(
